@@ -77,31 +77,12 @@ class BranchContext:
                 if j != k:
                     self._anchor_phase[(j, k)] = self._compute_anchor_phase(j, k)
 
-    # -- cut geometry -------------------------------------------------
+    # -- monodromy ----------------------------------------------------
 
     @property
     def eta(self) -> tuple[complex, ...]:
         """Monodromy factors exp(-2*pi*i*c_j)."""
         return tuple(cmath.exp(-2j * math.pi * cj) for cj in self.config.c)
-
-    @property
-    def cuts_B(self):
-        """Outward rays: (origin a_j, direction a_j)."""
-        return tuple((aj, aj) for aj in self.config.a)
-
-    @property
-    def cuts_Bhat(self):
-        """Segments from 0 to a_j, reported as (start, end)."""
-        return tuple((0j, aj) for aj in self.config.a)
-
-    def cuts_Bk(self, k: int):
-        """Cut system of the k-anchored branch: rays (origin, direction)."""
-        a = self.config.a
-        rays = [(a[k - 1], a[k - 1])]
-        for j in range(1, self.config.nu + 1):
-            if j != k:
-                rays.append((a[j - 1], a[j - 1] - a[k - 1]))
-        return tuple(rays)
 
     # -- primitive powers ----------------------------------------------
 

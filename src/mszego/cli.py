@@ -36,7 +36,8 @@ from .oracle import (IllConditioned, NoConvergence, QuadratureNotConverged,
                      exact_moments, monic_op, orthogonality_residuals,
                      quad_moments, root_curve_distance, roots, poly_eval)
 from .specfun import ContourThroughZero, FcEvaluator, zeros_E_c
-from .szego import DegenerateArc, NonGeneric, solve_structure, trace_curve
+from .szego import (DegenerateArc, NonGeneric, classify_many, plane_stack,
+                    solve_structure, trace_curve)
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -159,11 +160,11 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _asymp_points(args, cfg):
+def _asymp_points(args):
     if args.points:
         pts = []
         with open(args.points, "r", encoding="utf-8") as fh:
-            header = fh.readline()
+            fh.readline()  # header
             for line in fh:
                 parts = line.strip().split(",")
                 if len(parts) >= 2:
@@ -178,7 +179,7 @@ def cmd_asymp(args) -> int:
     t0 = time.time()
     cfg = load_config(args.config)
     model = build_model(cfg)
-    pts = _asymp_points(args, cfg)
+    pts = _asymp_points(args)
     rows = []
     for z in pts:
         label = model.classify(z)
@@ -275,24 +276,19 @@ def cmd_compare(args) -> int:
     _, moments, poly = _oracle_poly(run_cfg, degree, args.method)
 
     # sample ring in the outer region plus the deepest grid node per region
-    from .szego import _plane_values, classify_many
-
     samples = [1.5 * np.exp(1j * (0.2 + 2 * np.pi * k / 8)) for k in range(8)]
     xs = np.linspace(-0.95, 0.95, 61)
     Z = np.array([[complex(x, y) for y in xs] for x in xs])
     labels = classify_many(Z, run_cfg, structure.L)
+    stack = plane_stack(Z, run_cfg.a, structure.L)
     for j in range(1, run_cfg.nu + 1):
         mask = labels == j
         if not mask.any():
             continue
-        # deepest point: maximize the margin over the runner-up plane
-        best, best_margin = None, -np.inf
-        for z in Z[mask].ravel():
-            pv = _plane_values(z, run_cfg.a, structure.L)
-            margin = pv[j] - max(v for i, v in enumerate(pv) if i != j)
-            if margin > best_margin:
-                best, best_margin = z, margin
-        samples.append(best)
+        # deepest point: maximize the margin over the runner-up plane;
+        # argmax takes the first maximum in row-major order
+        margin = stack[j] - np.delete(stack, j, axis=0).max(axis=0)
+        samples.append(Z.flat[np.argmax(np.where(mask, margin, -np.inf))])
 
     rows = []
     for z in samples:

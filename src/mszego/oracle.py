@@ -11,12 +11,12 @@ precision so that degrees past ~20 keep usable orthogonality residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ddnum as dd
-from .core import Configuration
+from .core import ConfigError, Configuration
 from .szego import CurveSet
 
 __all__ = [
@@ -35,11 +35,12 @@ __all__ = [
     "poly_eval",
     "orthogonality_residuals",
     "root_curve_distance",
-    "moments_close",
 ]
 
+MAX_FACTORIAL = 170      # 171! overflows a double, so exact moments stop at 170!
 
-class NonIntegerExponent(Exception):
+
+class NonIntegerExponent(ConfigError):
     """exact_moments requires all exponents to be positive integers."""
 
 
@@ -83,12 +84,7 @@ class MonicPolynomial:
     coeffs: np.ndarray             # ascending, length degree+1, leading 1
     h_n: float
     cond_estimate: float
-    coeffs_dd: list | None = None
-    roots: tuple | None = None
-    root_residuals: tuple | None = None
-
-    def with_roots(self, rts, residuals) -> "MonicPolynomial":
-        return replace(self, roots=tuple(rts), root_residuals=tuple(residuals))
+    coeffs_dd: list                # the same coefficients in double-double
 
 
 @dataclass(frozen=True)
@@ -131,6 +127,10 @@ def exact_moments(config: Configuration) -> MomentMatrix:
     N = config.N
     alpha = _weight_poly_dd(config)
     C = len(alpha) - 1
+    if n + C > MAX_FACTORIAL:
+        raise IllConditioned(
+            f"exact moments at degree {n} with sum(c) = {C} need {n + C}!, "
+            f"past the largest factorial a double holds ({MAX_FACTORIAL}!)", math.inf)
 
     # pi * m! / N^(m+1) in double-double
     g = []
@@ -282,10 +282,6 @@ def _moments_mesh(config: Configuration, size, factor: int,
     return M
 
 
-def moments_close(A: np.ndarray, B: np.ndarray, rtol: float) -> bool:
-    return moments_max_reldiff(A, B) <= rtol
-
-
 def moments_max_reldiff(A: np.ndarray, B: np.ndarray) -> float:
     """Entrywise relative difference with a Cauchy-Schwarz scale floor.
 
@@ -371,16 +367,14 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
 
 def poly_eval(poly: MonicPolynomial, z: complex) -> complex:
     """Evaluate through the double-double coefficients (cancellation-safe)."""
-    if poly.coeffs_dd is not None:
-        return dd.cdd_complex(dd.cdd_horner(poly.coeffs_dd, z))
-    return complex(np.polyval(poly.coeffs[::-1], z))
+    return dd.cdd_complex(dd.cdd_horner(poly.coeffs_dd, z))
 
 
 def orthogonality_residuals(moments: MomentMatrix, poly: MonicPolynomial) -> np.ndarray:
     """Normalized |<p_n, z^m>| / (sqrt(h_n) sqrt(<z^m,z^m>)) for m < n."""
     n = poly.degree
     out = np.empty(n)
-    if moments.entries_dd is not None and poly.coeffs_dd is not None:
+    if moments.entries_dd is not None:
         Mdd = moments.entries_dd
         for m in range(n):
             acc = dd.CDD_ZERO
@@ -443,15 +437,14 @@ def roots(poly: MonicPolynomial, max_sweeps: int = 500, tol: float = 1e-10):
             break
 
     # double-double Newton polish (simple roots gain ~6 digits)
-    if poly.coeffs_dd is not None:
-        dcoeffs = [dd.cdd_scale(ck, dd.dd(float(k)))
-                   for k, ck in enumerate(poly.coeffs_dd)][1:]
-        for i in range(n):
-            for _ in range(2):
-                pv = dd.cdd_complex(dd.cdd_horner(poly.coeffs_dd, z[i]))
-                qv = dd.cdd_complex(dd.cdd_horner(dcoeffs, z[i]))
-                if qv != 0 and abs(pv / qv) < 0.1:
-                    z[i] = z[i] - pv / qv
+    dcoeffs = [dd.cdd_scale(ck, dd.dd(float(k)))
+               for k, ck in enumerate(poly.coeffs_dd)][1:]
+    for i in range(n):
+        for _ in range(2):
+            pv = dd.cdd_complex(dd.cdd_horner(poly.coeffs_dd, z[i]))
+            qv = dd.cdd_complex(dd.cdd_horner(dcoeffs, z[i]))
+            if qv != 0 and abs(pv / qv) < 0.1:
+                z[i] = z[i] - pv / qv
 
     pv = np.array([poly_eval(poly, zi) for zi in z])
     qv = horner_all(z)[1]

@@ -33,6 +33,7 @@ __all__ = [
     "levels_iterations",
     "classify",
     "classify_many",
+    "plane_stack",
     "compute_chains",
     "compute_ell",
     "solve_structure",
@@ -108,6 +109,14 @@ class SzegoStructure:
         return ch[1] if len(ch) > 1 else 0
 
 
+# The max-function has two kernels.  ``_plane_values`` is the scalar one,
+# used by the level solve, phi_L and classify: np.log differs from
+# math.log in the last bit for about a third of inputs, which would move
+# the solved levels and every artifact derived from them, and a numpy
+# call on one point costs two to three times the scalar path.
+# ``plane_stack`` is the array kernel for grids and point sets.
+
+
 def _plane_values(z: complex, a, lam):
     vals = [math.log(abs(z)) if z != 0 else -math.inf]
     for aj, lj in zip(a, lam):
@@ -157,27 +166,25 @@ def classify(z: complex, structure: SzegoStructure) -> int:
     return int(np.argmax(vals))
 
 
+def plane_stack(z, a, L) -> np.ndarray:
+    """All candidates of Phi at an array of points, shape ``(nu+1, *z.shape)``.
+
+    Row 0 is ``log|z|`` (``-inf`` at the origin), row ``j`` the plane
+    ``Re(conj(a_j) z) + l_j``.
+    """
+    z = np.asarray(z, dtype=complex)
+    stack = np.empty((len(a) + 1,) + z.shape)
+    with np.errstate(divide="ignore"):
+        stack[0] = np.log(np.abs(z))
+    for j, (aj, lj) in enumerate(zip(a, L), start=1):
+        stack[j] = (np.conj(aj) * z).real + lj
+    return stack
+
+
 def classify_many(z: np.ndarray, config: Configuration, L) -> np.ndarray:
     """Vectorized :func:`classify` on an arbitrary-shape complex array."""
     z = np.asarray(z, dtype=complex)
-    stack = np.empty((config.nu + 1,) + z.shape)
-    with np.errstate(divide="ignore"):
-        stack[0] = np.log(np.abs(z))
-    stack[0] = np.where(np.abs(z) > 0, stack[0], -np.inf)
-    for j, (aj, lj) in enumerate(zip(config.a, L), start=1):
-        stack[j] = (np.conj(aj) * z).real + lj
-    labels = np.argmax(stack, axis=0)
-    labels[np.abs(z) >= 1.0] = 0
-    return labels
-
-
-def _attaining_labels(config: Configuration, L, j: int) -> list[int]:
-    """Labels attaining Phi at a_j within the boundary tolerance."""
-    z = config.a[j - 1]
-    vals = _plane_values(z, config.a, L)
-    top = max(vals)
-    window = BOUNDARY_TOL * (abs(top) + 1.0)
-    return [i for i, v in enumerate(vals) if top - v <= window]
+    return np.where(np.abs(z) >= 1.0, 0, np.argmax(plane_stack(z, config.a, L), axis=0))
 
 
 def compute_chains(config: Configuration, L):
@@ -190,7 +197,7 @@ def compute_chains(config: Configuration, L):
     nu = config.nu
     arrows = {}
     for j in range(1, nu + 1):
-        cands = _attaining_labels(config, L, j)
+        _, cands = phi_L(config.a[j - 1], config.a, L, tie_tol=BOUNDARY_TOL)
         others = [i for i in cands if i != j]
         if j not in cands:
             raise NonGeneric(
@@ -245,18 +252,15 @@ def compute_ell(config: Configuration, chains) -> tuple[complex, ...]:
     return tuple(ell[j] for j in range(1, nu + 1))
 
 
-def _genericity_flags(config: Configuration, L, arrows_ok: bool, chains=None):
+def _genericity_flags(config: Configuration, L, chains):
     """Per-point circle test: label set around a_j must be exactly {j, k}."""
     flags = []
     theta = 2 * np.pi * np.arange(GENERIC_CIRCLE_SAMPLES) / GENERIC_CIRCLE_SAMPLES
     ring = GENERIC_CIRCLE_RADIUS * np.exp(1j * theta)
     for j in range(1, config.nu + 1):
         labels = set(classify_many(config.a[j - 1] + ring, config, L).tolist())
-        if arrows_ok and chains is not None:
-            k = chains[j - 1][1] if len(chains[j - 1]) > 1 else 0
-            flags.append(labels == {j, k})
-        else:
-            flags.append(j in labels and len(labels) == 2)
+        k = chains[j - 1][1] if len(chains[j - 1]) > 1 else 0
+        flags.append(labels == {j, k})
     return tuple(flags)
 
 
@@ -284,7 +288,7 @@ def solve_structure(config: Configuration, require_generic: bool = True) -> Szeg
             config, L, (complex("nan"),) * nu, ((0,),) * nu, (0,) * nu,
             (False,) * nu, empty,
         )
-    generic = _genericity_flags(config, L, True, chains)
+    generic = _genericity_flags(config, L, chains)
     if empty:
         generic = tuple(g and (j + 1 not in empty) for j, g in enumerate(generic))
     struct = SzegoStructure(
@@ -372,38 +376,39 @@ def trace_curve(structure: SzegoStructure, grid: int = 400, tol: float = 1e-8) -
     # cell-by-cell connectivity
     segments = []  # (edge_key_a, edge_key_b, pair)
     triple_cells = []
-    for ci in range(grid - 1):
-        for cj in range(grid - 1):
-            corner_labels = {
-                int(labels[ci, cj]), int(labels[ci + 1, cj]),
-                int(labels[ci + 1, cj + 1]), int(labels[ci, cj + 1]),
-            }
-            if len(corner_labels) < 2:
-                continue
-            edge_keys = [
-                ("h", ci, cj), ("v", ci + 1, cj), ("h", ci, cj + 1), ("v", ci, cj),
-            ]
-            present = [k for k in edge_keys if k in crossings]
-            if len(corner_labels) >= 3:
-                triple_cells.append(complex(Z[ci, cj] + Z[ci + 1, cj + 1]) / 2)
-            by_pair: dict[tuple[int, int], list] = {}
-            for k in present:
-                _, l1, l2 = crossings[k]
-                by_pair.setdefault((min(l1, l2), max(l1, l2)), []).append(k)
-            for pair, keys in by_pair.items():
-                if len(keys) == 2:
+    c00, c10 = labels[:-1, :-1], labels[1:, :-1]
+    c11, c01 = labels[1:, 1:], labels[:-1, 1:]
+    mixed = (c00 != c10) | (c00 != c11) | (c00 != c01)
+    ci_all, cj_all = np.nonzero(mixed)
+    for ci, cj in zip(ci_all.tolist(), cj_all.tolist()):
+        corner_labels = {
+            int(labels[ci, cj]), int(labels[ci + 1, cj]),
+            int(labels[ci + 1, cj + 1]), int(labels[ci, cj + 1]),
+        }
+        edge_keys = [
+            ("h", ci, cj), ("v", ci + 1, cj), ("h", ci, cj + 1), ("v", ci, cj),
+        ]
+        present = [k for k in edge_keys if k in crossings]
+        if len(corner_labels) >= 3:
+            triple_cells.append(complex(Z[ci, cj] + Z[ci + 1, cj + 1]) / 2)
+        by_pair: dict[tuple[int, int], list] = {}
+        for k in present:
+            _, l1, l2 = crossings[k]
+            by_pair.setdefault((min(l1, l2), max(l1, l2)), []).append(k)
+        for pair, keys in by_pair.items():
+            if len(keys) == 2:
+                segments.append((keys[0], keys[1], pair))
+            elif len(keys) == 4:
+                # ambiguous saddle: connect nearest two, then the rest
+                keys = sorted(keys)
+                p = [crossings[k][0] for k in keys]
+                if abs(p[0] - p[1]) + abs(p[2] - p[3]) <= abs(p[0] - p[3]) + abs(p[1] - p[2]):
                     segments.append((keys[0], keys[1], pair))
-                elif len(keys) == 4:
-                    # ambiguous saddle: connect nearest two, then the rest
-                    keys = sorted(keys)
-                    p = [crossings[k][0] for k in keys]
-                    if abs(p[0] - p[1]) + abs(p[2] - p[3]) <= abs(p[0] - p[3]) + abs(p[1] - p[2]):
-                        segments.append((keys[0], keys[1], pair))
-                        segments.append((keys[2], keys[3], pair))
-                    else:
-                        segments.append((keys[0], keys[3], pair))
-                        segments.append((keys[1], keys[2], pair))
-                # a single key happens at triple-point cells: the arc ends here
+                    segments.append((keys[2], keys[3], pair))
+                else:
+                    segments.append((keys[0], keys[3], pair))
+                    segments.append((keys[1], keys[2], pair))
+            # a single key happens at triple-point cells: the arc ends here
 
     arcs = _assemble_arcs(crossings, segments, structure, tol)
     if not arcs:

@@ -246,8 +246,8 @@ def test_criterion_8_local_zero_alignment():
 
     ok = ok32 and ok64
     assert report(8, ok, f"n=32 worst |dzeta| {w32:.3f} over {c32} zeros (<=1.0); "
-                         f"{detail64}; the shift is the expected O(1/N) correction "
-                         f"with constant ~1.5 at |zeta|~24, above the guessed bounds")
+                         f"{detail64}; the offsets equal |log(z_k/a)|, the term "
+                         f"zeta_map leaves out")
 
 
 def test_criterion_9_matching_consistency():

@@ -214,12 +214,3 @@ def test_branch_shift_covariance(cfg_branchy):
     # eta_tilde is invariant under the free branch rotations
     for j, k in ((1, 2), (2, 3)):
         assert abs(shifted.eta_tilde(k, j) - base.eta_tilde(k, j)) < 1e-8
-
-
-def test_cut_geometry_report(ctx):
-    assert len(ctx.cuts_B) == 3
-    assert len(ctx.cuts_Bhat) == 3
-    rays = ctx.cuts_Bk(2)
-    assert len(rays) == 3  # own outward ray plus one moved ray per other point
-    origins = {o for o, _ in rays}
-    assert ctx.config.a[1] in origins

@@ -146,6 +146,43 @@ def test_compare_command(single_cfg_path, tmp_path, capsys):
     assert outer and all(float(r.split(",")[-1]) <= 1e-2 for r in outer)
 
 
+def test_compare_deepest_point_per_region(pair_cfg_path, tmp_path, capsys):
+    assert main(["levels", pair_cfg_path]) == 0
+    L = json.loads(capsys.readouterr().out)["L"]
+    a = [complex(0.5, -0.5), complex(-0.25, -0.5)]
+    out = str(tmp_path / "cmp.csv")
+    assert main(["compare", pair_cfg_path, "--degree", "16",
+                 "--grid", "150", "--out", out]) == 0
+    rows = [r.split(",") for r in open(out).read().splitlines()[1:]]
+    bounded = [r for r in rows if int(r[2]) != 0]
+    assert sorted(int(r[2]) for r in bounded) == [1, 2]
+    for r in bounded:
+        z, j = complex(float(r[0]), float(r[1])), int(r[2])
+        cands = [math.log(abs(z))] + [(ai.conjugate() * z).real + li
+                                      for ai, li in zip(a, L)]
+        assert abs(z) < 1.0
+        assert cands[j] > max(v for i, v in enumerate(cands) if i != j)
+
+
+def test_exact_method_rejects_fractional_exponents(tmp_path, capsys):
+    p = tmp_path / "branchy.json"
+    p.write_text(json.dumps({"a": [[0.5, 0.1], [-0.2, 0.45], [0.1, -0.55]],
+                             "c": [0.5, 1.3, -0.4], "n": 12}))
+    out = str(tmp_path / "out.csv")
+    assert main(["oracle", str(p), "--out", out]) == 2
+    assert main(["compare", str(p), "--out", out]) == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
+def test_oracle_past_factorial_limit_exit_code(tmp_path, capsys):
+    p = tmp_path / "fig4.json"
+    p.write_text(json.dumps(
+        {"a": [[0.5, -0.5], [-0.25, -0.5]], "c": [1.0, 1.0], "n": 32}))
+    out = str(tmp_path / "roots.csv")
+    assert main(["oracle", str(p), "--degree", "169", "--out", out]) == 4
+    assert "IllConditioned" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # a box edge running through a zero ladder trips the contour guard
     out = str(tmp_path / "z.csv")

@@ -49,6 +49,17 @@ def test_exact_moments_rejects_fractional():
         exact_moments(cfg)
 
 
+def test_exact_moments_factorial_limit():
+    # n + sum(c) = 171 needs 171!, which overflows a double
+    cfg = validate_config(Configuration(a=(0.5 - 0.5j, -0.25 - 0.5j),
+                                        c=(1.0, 1.0), n=169, N=32.0))
+    with pytest.raises(IllConditioned) as exc:
+        exact_moments(cfg)
+    assert exc.value.cond_estimate == math.inf
+    M = exact_moments(cfg.replace_degree(168, 32.0))
+    assert np.all(np.isfinite(M.entries)) and M.size == 169
+
+
 def test_monic_degree_zero(cfg_hand):
     M = exact_moments(cfg_hand)
     p0 = monic_op(M, 0)

@@ -124,6 +124,9 @@ def test_classify_many_matches_scalar(cfg_pair):
     zs = rng.uniform(-1.2, 1.2, 40) + 1j * rng.uniform(-1.2, 1.2, 40)
     vec = classify_many(zs, cfg_pair, st.L)
     assert all(vec[i] == classify(complex(zs[i]), st) for i in range(len(zs)))
+    for z in (0.9 * cfg_pair.a[0], 0.9 * cfg_pair.a[1], 0.2j, 1.5):
+        label = classify_many(np.asarray(z), cfg_pair, st.L)
+        assert label.shape == () and label == classify(z, st)
 
 
 # -- chains and ell ------------------------------------------------------------
@@ -228,34 +231,37 @@ def test_interior_arcs_are_straight(cfg_pair):
         assert dev.max() < 1e-7
 
 
-def test_arc_orientation_left_side(cfg_pair):
-    st = solve_structure(cfg_pair)
-    cs = trace_curve(st, grid=250, tol=1e-8)
-    for arc in cs.arcs:
-        # probe at half step: beyond the chord sagitta, inside the regions
-        good = 0
-        for i in range(0, len(arc.points) - 1, 5):
-            d = arc.points[i + 1] - arc.points[i]
-            nrm = 1j * d / abs(d)
-            delta = 0.5 * abs(d)
-            mid = 0.5 * (arc.points[i] + arc.points[i + 1])
-            left = classify(mid + delta * nrm, st)
-            right = classify(mid - delta * nrm, st)
-            if left == arc.j and right == arc.k:
-                good += 1
-            else:
-                assert {left, right} != {arc.j, arc.k}, \
-                    f"segment {i} of arc ({arc.j},{arc.k}) oriented backwards"
-        assert good > 0.8 * len(range(0, len(arc.points) - 1, 5))
+def test_arc_orientation_left_side(cfg_pair, cfg_level3):
+    for cfg in (cfg_pair, cfg_level3):
+        st = solve_structure(cfg)
+        cs = trace_curve(st, grid=250, tol=1e-8)
+        for arc in cs.arcs:
+            # probe at half step: beyond the chord sagitta, inside the regions
+            good = 0
+            for i in range(0, len(arc.points) - 1, 5):
+                d = arc.points[i + 1] - arc.points[i]
+                nrm = 1j * d / abs(d)
+                delta = 0.5 * abs(d)
+                mid = 0.5 * (arc.points[i] + arc.points[i + 1])
+                left = classify(mid + delta * nrm, st)
+                right = classify(mid - delta * nrm, st)
+                if left == arc.j and right == arc.k:
+                    good += 1
+                else:
+                    assert {left, right} != {arc.j, arc.k}, \
+                        f"segment {i} of arc ({arc.j},{arc.k}) oriented backwards"
+            assert good > 0.8 * len(range(0, len(arc.points) - 1, 5))
 
 
-def test_traced_points_are_label_ties(cfg_pair):
-    st = solve_structure(cfg_pair)
-    cs = trace_curve(st, grid=200, tol=1e-8)
-    for arc in cs.arcs:
-        z = complex(arc.points[len(arc.points) // 3])
-        _, labels = phi_L(z, cfg_pair.a, st.L, tie_tol=1e-5)
-        assert {arc.j, arc.k} <= labels
+def test_traced_points_are_label_ties(cfg_pair, cfg_level3):
+    # the level-3 chain has three-region junctions inside the disk
+    for cfg in (cfg_pair, cfg_level3):
+        st = solve_structure(cfg)
+        cs = trace_curve(st, grid=200, tol=1e-8)
+        for arc in cs.arcs:
+            z = complex(arc.points[len(arc.points) // 3])
+            _, labels = phi_L(z, cfg.a, st.L, tie_tol=1e-5)
+            assert {arc.j, arc.k} <= labels
 
 
 def test_degenerate_arc_at_coarse_grid(cfg_pair):
