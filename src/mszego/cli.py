@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -73,10 +74,11 @@ def _write_manifest(out_path: str, args, outputs: list[str], t0: float) -> None:
         fh.write("\n")
 
 
-def _svg_plot(path: str, arcs, dots=(), extent: float = 1.2) -> None:
-    """Static plot: one polyline per arc, small circles for dots."""
+def _svg_plot(path: str, arcs, dots) -> None:
+    """Static plot of [-1.2, 1.2]^2: one polyline per arc, small circles for dots."""
     palette = ["#d95f02", "#1b9e77", "#7570b3", "#e7298a", "#66a61e", "#e6ab02"]
     size = 800
+    extent = 1.2
     sc = size / (2 * extent)
 
     def xy(z):
@@ -106,19 +108,32 @@ def _json_complex(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _require_finite(flag: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{flag} must be finite, got {list(values)}")
+
+
+def _degree(args, cfg) -> int:
+    """The --degree flag, or the configuration's n; at least 1."""
+    degree = cfg.n if args.degree is None else args.degree
+    if degree < 1:
+        raise ConfigError(f"degree must be >= 1, got {degree}")
+    return degree
+
+
 # -- subcommand implementations ---------------------------------------------
+# Each returns the list of files it wrote; main writes the manifest.
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> list[str]:
     cfg = load_config(args.config)
     print(json.dumps({"ok": True, "nu": cfg.nu, "n": cfg.n, "N": cfg.N,
                       "a": [_json_complex(z) for z in cfg.a], "c": list(cfg.c)},
                      sort_keys=True))
-    return EXIT_OK
+    return []
 
 
-def cmd_levels(args) -> int:
-    t0 = time.time()
+def cmd_levels(args) -> list[str]:
     cfg = load_config(args.config)
     structure = solve_structure(cfg)
     model = build_model(cfg, structure)
@@ -133,15 +148,14 @@ def cmd_levels(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        _write_manifest(args.out + ".manifest.json", args, [args.out], t0)
-    return EXIT_OK
+    if not args.out:
+        return []
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return [args.out]
 
 
-def cmd_curve(args) -> int:
-    t0 = time.time()
+def cmd_curve(args) -> list[str]:
     cfg = load_config(args.config)
     structure = solve_structure(cfg)
     curve = trace_curve(structure, grid=args.grid, tol=args.tol)
@@ -154,29 +168,25 @@ def cmd_curve(args) -> int:
     if args.svg:
         _svg_plot(args.svg, curve.arcs, dots=cfg.a)
         outputs.append(args.svg)
-    _write_manifest(args.out + ".manifest.json", args, outputs, t0)
     print(f"{len(curve.arcs)} arcs, {len(rows)} points, "
           f"{len(curve.triple_points)} junction cells")
-    return EXIT_OK
+    return outputs
 
 
 def _asymp_points(args):
-    if args.points:
-        pts = []
+    if not args.points:
+        xs = np.linspace(-args.extent, args.extent, args.grid)
+        return [complex(x, y) for x in xs for y in xs]
+    try:
         with open(args.points, "r", encoding="utf-8") as fh:
             fh.readline()  # header
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) >= 2:
-                    pts.append(complex(float(parts[0]), float(parts[1])))
-        return pts
-    g = args.grid
-    xs = np.linspace(-args.extent, args.extent, g)
-    return [complex(x, y) for x in xs for y in xs]
+            rows = [line.strip().split(",") for line in fh]
+        return [complex(float(p[0]), float(p[1])) for p in rows if len(p) >= 2]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read points file {args.points}: {exc}") from exc
 
 
-def cmd_asymp(args) -> int:
-    t0 = time.time()
+def cmd_asymp(args) -> list[str]:
     cfg = load_config(args.config)
     model = build_model(cfg)
     pts = _asymp_points(args)
@@ -197,13 +207,12 @@ def cmd_asymp(args) -> int:
                      label, args.mode))
     _write_csv(args.out, ["re", "im", "value_re", "value_im", "label",
                           "formula_used"], rows)
-    _write_manifest(args.out + ".manifest.json", args, [args.out], t0)
     print(f"{len(rows)} points evaluated ({args.mode})")
-    return EXIT_OK
+    return [args.out]
 
 
-def cmd_fc(args) -> int:
-    t0 = time.time()
+def cmd_fc(args) -> list[str]:
+    _require_finite("--c", args.c)
     ev = FcEvaluator(args.c)
     xs = np.linspace(-args.extent, args.extent, args.grid)
     rows = []
@@ -215,37 +224,31 @@ def cmd_fc(args) -> int:
             v = ev.f(z)
             rows.append((float(x), float(y), float(v.real), float(v.imag)))
     _write_csv(args.out, ["re", "im", "f_re", "f_im"], rows)
-    _write_manifest(args.out + ".manifest.json", args, [args.out], t0)
     print(f"{len(rows)} samples of the truncated exponential (c={args.c})")
-    return EXIT_OK
+    return [args.out]
 
 
-def cmd_fc_zeros(args) -> int:
-    t0 = time.time()
+def cmd_fc_zeros(args) -> list[str]:
+    _require_finite("--c", args.c)
+    _require_finite("--box", *args.box)
     ev = FcEvaluator(args.c)
     zs = zeros_E_c(args.c, tuple(args.box), tol=args.tol)
     rows = [(float(z.real), float(z.imag), float(abs(ev.entire(z)))) for z in zs]
     _write_csv(args.out, ["re", "im", "abs_Ec"], rows)
-    _write_manifest(args.out + ".manifest.json", args, [args.out], t0)
     print(f"{len(zs)} zeros in box {args.box}")
-    return EXIT_OK
+    return [args.out]
 
 
 def _oracle_poly(cfg, degree, method):
-    run_cfg = cfg.replace_degree(degree, cfg.N) if degree != cfg.n else cfg
-    if method == "exact":
-        moments = exact_moments(run_cfg)
-    else:
-        moments = quad_moments(run_cfg)
-    poly = monic_op(moments, degree)
-    return run_cfg, moments, poly
+    run_cfg = cfg.replace_degree(degree, cfg.N)
+    moments = (exact_moments if method == "exact" else quad_moments)(run_cfg)
+    return moments, monic_op(moments, degree)
 
 
-def cmd_oracle(args) -> int:
-    t0 = time.time()
+def cmd_oracle(args) -> list[str]:
     cfg = load_config(args.config)
-    degree = args.degree if args.degree is not None else cfg.n
-    run_cfg, moments, poly = _oracle_poly(cfg, degree, args.method)
+    degree = _degree(args, cfg)
+    moments, poly = _oracle_poly(cfg, degree, args.method)
     rts, resid = roots(poly)
     rows = [(float(r.real), float(r.imag), float(q)) for r, q in zip(rts, resid)]
     _write_csv(args.out, ["re", "im", "residual"], rows)
@@ -258,22 +261,20 @@ def cmd_oracle(args) -> int:
             json.dump(doc, fh, sort_keys=True)
             fh.write("\n")
         outputs.append(args.moments_out)
-    _write_manifest(args.out + ".manifest.json", args, outputs, t0)
-    ortho = float(orthogonality_residuals(moments, poly).max()) if degree else 0.0
+    ortho = float(orthogonality_residuals(moments, poly).max())
     print(json.dumps({"degree": degree, "h_n": poly.h_n,
                       "max_orthogonality_residual": ortho,
                       "cond_estimate": poly.cond_estimate}, sort_keys=True))
-    return EXIT_OK
+    return outputs
 
 
-def cmd_compare(args) -> int:
-    t0 = time.time()
+def cmd_compare(args) -> list[str]:
     cfg = load_config(args.config)
-    degree = args.degree if args.degree is not None else cfg.n
+    degree = _degree(args, cfg)
     run_cfg = cfg.replace_degree(degree)
     structure = solve_structure(run_cfg)
     model = build_model(run_cfg, structure)
-    _, moments, poly = _oracle_poly(run_cfg, degree, args.method)
+    _, poly = _oracle_poly(run_cfg, degree, args.method)
 
     # sample ring in the outer region plus the deepest grid node per region
     samples = [1.5 * np.exp(1j * (0.2 + 2 * np.pi * k / 8)) for k in range(8)]
@@ -310,14 +311,13 @@ def cmd_compare(args) -> int:
     rts, _ = roots(poly)
     excl = max(model.disk_radius(j) for j in range(1, run_cfg.nu + 1))
     summary = root_curve_distance(rts, curve, excl, centers=run_cfg.a)
-    _write_manifest(args.out + ".manifest.json", args, [args.out], t0)
     print(json.dumps({
         "degree": degree,
         "max_rel_err": max(r[-1] for r in rows),
         "root_curve_distance": {"max": summary.max, "mean": summary.mean,
                                 "count": summary.count},
     }, sort_keys=True))
-    return EXIT_OK
+    return [args.out]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.func(args)
+        outputs = args.func(args)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
             ContourThroughZero, DegenerateArc, OnCut) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if outputs:
+        _write_manifest(outputs[0] + ".manifest.json", args, outputs, t0)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

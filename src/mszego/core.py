@@ -19,7 +19,6 @@ from typing import Any
 
 __all__ = [
     "Configuration",
-    "ComplexPoint",
     "ConfigError",
     "OriginSingularity",
     "OutsideDisk",
@@ -62,25 +61,6 @@ class BadExponent(ConfigError):
 
 
 @dataclass(frozen=True)
-class ComplexPoint:
-    """A point of the plane as it appears in external JSON documents."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ConfigError("complex point has non-finite components")
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    @staticmethod
-    def from_complex(z: complex) -> "ComplexPoint":
-        return ComplexPoint(float(z.real), float(z.imag))
-
-
-@dataclass(frozen=True)
 class Configuration:
     """Validated problem data.
 
@@ -103,13 +83,9 @@ class Configuration:
     def nu(self) -> int:
         return len(self.a)
 
-    @property
-    def c_total(self) -> float:
-        return float(sum(self.c))
-
     def replace_degree(self, n: int, N: float | None = None) -> "Configuration":
-        """Same weight data at another degree; N defaults to n again."""
-        return Configuration(self.a, self.c, int(n), float(n if N is None else N))
+        """Same weight data at another degree, validated; N defaults to n again."""
+        return validate_config(Configuration(self.a, self.c, n, n if N is None else N))
 
 
 def _triple_is_collinear(p1: complex, p2: complex, p3: complex) -> bool:
@@ -179,19 +155,13 @@ def config_from_json(doc: Any) -> Configuration:
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
     try:
-        pts = [ComplexPoint(float(p[0]), float(p[1])) for p in doc["a"]]
-        c = [float(x) for x in doc["c"]]
+        a = tuple(complex(float(p[0]), float(p[1])) for p in doc["a"])
+        c = tuple(float(x) for x in doc["c"])
         n = doc["n"]
-    except (KeyError, TypeError, IndexError) as exc:
+        N = None if doc.get("N") is None else float(doc["N"])
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
-    N = doc.get("N")
-    raw = Configuration(
-        a=tuple(p.to_complex() for p in pts),
-        c=tuple(c),
-        n=n,
-        N=None if N is None else float(N),
-    )
-    return validate_config(raw)
+    return validate_config(Configuration(a=a, c=c, n=n, N=N))
 
 
 def config_to_json(cfg: Configuration) -> dict:
@@ -204,5 +174,9 @@ def config_to_json(cfg: Configuration) -> dict:
 
 
 def load_config(path: str) -> Configuration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
+    return config_from_json(doc)

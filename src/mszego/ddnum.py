@@ -132,12 +132,6 @@ def cdd_scale(x, s):
     return dd_mul(x[0], s), dd_mul(x[1], s)
 
 
-def cdd_div(x, y):
-    d = dd_add(dd_mul(y[0], y[0]), dd_mul(y[1], y[1]))
-    num = cdd_mul(x, cdd_conj(y))
-    return dd_div(num[0], d), dd_div(num[1], d)
-
-
 def cdd_abs2(x):
     return dd_add(dd_mul(x[0], x[0]), dd_mul(x[1], x[1]))
 

@@ -27,7 +27,6 @@ __all__ = [
     "MomentMatrix",
     "MonicPolynomial",
     "RootDistanceSummary",
-    "gaussian_moment",
     "exact_moments",
     "quad_moments",
     "monic_op",
@@ -38,6 +37,9 @@ __all__ = [
 ]
 
 MAX_FACTORIAL = 170      # 171! overflows a double, so exact moments stop at 170!
+QUAD_TARGET = 1e-10      # mesh-doubling relative difference quad_moments must reach
+ABERTH_MAX_SWEEPS = 500
+ROOT_TOL = 1e-10         # accepted Newton step of a polished root, relative to 1 + |z|
 
 
 class NonIntegerExponent(ConfigError):
@@ -69,7 +71,6 @@ class MomentMatrix:
 
     entries: np.ndarray
     method: str                    # "exact-integer-c" | "quadrature"
-    config: Configuration
     entries_dd: list | None = None
     band: int | None = None
 
@@ -92,15 +93,6 @@ class RootDistanceSummary:
     max: float
     mean: float
     count: int
-
-
-def gaussian_moment(p: int, q: int, N: float) -> float:
-    """Plane integral of z^p conj(z)^q exp(-N|z|^2): pi p!/N^(p+1) if p==q."""
-    if p < 0 or q < 0:
-        raise ValueError("moment orders must be nonnegative")
-    if p != q:
-        return 0.0
-    return math.pi * math.exp(math.lgamma(p + 1) - (p + 1) * math.log(N))
 
 
 def _weight_poly_dd(config: Configuration):
@@ -157,7 +149,7 @@ def exact_moments(config: Configuration) -> MomentMatrix:
     entries = np.array([[dd.cdd_complex(M[j][k]) for k in range(size)]
                         for j in range(size)], dtype=complex)
     return MomentMatrix(entries=entries, method="exact-integer-c",
-                        config=config, entries_dd=M, band=C)
+                        entries_dd=M, band=C)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +287,7 @@ def moments_max_reldiff(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B) / denom))
 
 
-def quad_moments(config: Configuration, target: float = 1e-10) -> MomentMatrix:
+def quad_moments(config: Configuration) -> MomentMatrix:
     """Moment matrix by polar quadrature, validated by mesh doubling."""
     size = config.n + 1
     coarse = _moments_mesh(config, size, 1)
@@ -303,15 +295,16 @@ def quad_moments(config: Configuration, target: float = 1e-10) -> MomentMatrix:
     for factor in (2, 4):
         fine = _moments_mesh(config, size, factor)
         err = moments_max_reldiff(coarse, fine)
-        if err <= target:
+        if err <= QUAD_TARGET:
             best = fine
             break
         coarse = fine
     if best is None:
         raise QuadratureNotConverged(
-            f"mesh doubling stalled at relative difference {err:.3e} (target {target:.1e})")
+            f"mesh doubling stalled at relative difference {err:.3e} "
+            f"(target {QUAD_TARGET:.1e})")
     best = 0.5 * (best + best.conj().T)
-    return MomentMatrix(entries=best, method="quadrature", config=config)
+    return MomentMatrix(entries=best, method="quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +335,7 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
             raise IllConditioned(str(exc), math.inf) from exc
         cond = (max(diag) / min(diag)) ** 2
         coeffs_dd = x + [dd.CDD_ONE]
-        acc = dd.CDD_ZERO
-        for k in range(n + 1):
-            acc = dd.cdd_add(acc, dd.cdd_mul(coeffs_dd[k], Mdd[k][n]))
-        h = dd.cdd_complex(acc).real
+        h = _column_dot_dd(coeffs_dd, Mdd, n).real
         coeffs = np.array([dd.cdd_complex(ck) for ck in coeffs_dd])
     else:
         M = moments.entries
@@ -370,6 +360,14 @@ def poly_eval(poly: MonicPolynomial, z: complex) -> complex:
     return dd.cdd_complex(dd.cdd_horner(poly.coeffs_dd, z))
 
 
+def _column_dot_dd(coeffs_dd, Mdd, m: int) -> complex:
+    """sum_k b_k <z^k, z^m> in double-double, rounded to complex."""
+    acc = dd.CDD_ZERO
+    for k, bk in enumerate(coeffs_dd):
+        acc = dd.cdd_add(acc, dd.cdd_mul(bk, Mdd[k][m]))
+    return dd.cdd_complex(acc)
+
+
 def orthogonality_residuals(moments: MomentMatrix, poly: MonicPolynomial) -> np.ndarray:
     """Normalized |<p_n, z^m>| / (sqrt(h_n) sqrt(<z^m,z^m>)) for m < n."""
     n = poly.degree
@@ -377,10 +375,7 @@ def orthogonality_residuals(moments: MomentMatrix, poly: MonicPolynomial) -> np.
     if moments.entries_dd is not None:
         Mdd = moments.entries_dd
         for m in range(n):
-            acc = dd.CDD_ZERO
-            for k in range(n + 1):
-                acc = dd.cdd_add(acc, dd.cdd_mul(poly.coeffs_dd[k], Mdd[k][m]))
-            val = abs(dd.cdd_complex(acc))
+            val = abs(_column_dot_dd(poly.coeffs_dd, Mdd, m))
             out[m] = val / math.sqrt(poly.h_n * dd.cdd_complex(Mdd[m][m]).real)
     else:
         M = moments.entries
@@ -394,12 +389,12 @@ def orthogonality_residuals(moments: MomentMatrix, poly: MonicPolynomial) -> np.
 # roots
 
 
-def roots(poly: MonicPolynomial, max_sweeps: int = 500, tol: float = 1e-10):
+def roots(poly: MonicPolynomial):
     """All roots by Aberth-Ehrlich iteration with double-double polish.
 
     Returns (roots, residuals) where residuals are Newton steps scaled
     by 1 + |root|; for (near-)multiple roots the backward-error
-    criterion |p(r)| <= tol * sum(|b_k| |r|^k) applies instead.
+    criterion |p(r)| <= 1e-12 * sum(|b_k| |r|^k) applies instead.
     """
     n = poly.degree
     if n < 1:
@@ -424,7 +419,7 @@ def roots(poly: MonicPolynomial, max_sweeps: int = 500, tol: float = 1e-10):
         return p, q
 
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(ABERTH_MAX_SWEEPS):
         p, q = horner_all(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(q != 0, p / q, 0.0)
@@ -452,7 +447,7 @@ def roots(poly: MonicPolynomial, max_sweeps: int = 500, tol: float = 1e-10):
         newton_resid = np.where(qv != 0, np.abs(pv / qv), np.inf) / (1.0 + np.abs(z))
     backward_scale = np.array(
         [np.sum(np.abs(b) * np.abs(zi) ** np.arange(n + 1)) for zi in z])
-    ok = (newton_resid <= tol) | (np.abs(pv) <= 1e-12 * backward_scale)
+    ok = (newton_resid <= ROOT_TOL) | (np.abs(pv) <= 1e-12 * backward_scale)
     if not (converged or np.all(ok)):
         raise NoConvergence(f"{int(np.sum(~ok))} roots failed to converge")
     order = np.lexsort((z.imag, z.real))

@@ -17,8 +17,8 @@ the argument principle on subdivided rectangles plus Newton polish.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import rgamma
@@ -36,6 +36,7 @@ __all__ = [
 
 SERIES_MAX_TERMS = 400
 SERIES_RADIUS = 35.0     # beyond this the entire series loses too many digits
+ASYMPTOTIC_MAX_TERMS = 30
 
 
 class OnNegativeAxis(Exception):
@@ -59,27 +60,20 @@ def alpha(i: int, c: float) -> float:
     return float(rgamma(c + 1.0 - i))
 
 
-@dataclass
 class FcEvaluator:
     """Evaluator for one exponent with its route thresholds.
 
     ``r_switch`` separates the entire-series route from the asymptotic
-    route; ``m_max`` caps the asymptotic truncation order.  Worst-case
-    relative accuracy sits near the crossover (about 1e-5 for small
-    exponents) and improves rapidly in both directions.
+    route, which is truncated after at most ``ASYMPTOTIC_MAX_TERMS``
+    terms.  Worst-case relative accuracy sits near the crossover (about
+    1e-5 for small exponents) and improves rapidly in both directions.
     """
 
-    c: float
-    r_switch: float = 0.0
-    m_max: int = 30
-    _alphas: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    _rgammas: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.r_switch == 0.0:
-            self.r_switch = 8.0 + 2.0 * abs(self.c)
-        self._alphas = rgamma(self.c + 1.0 - np.arange(1, self.m_max + 1))
-        self._rgammas = rgamma(self.c + 1.0 + np.arange(SERIES_MAX_TERMS))
+    def __init__(self, c: float):
+        self.c = c
+        self.r_switch = 8.0 + 2.0 * abs(c)
+        self._alphas = rgamma(c + 1.0 - np.arange(1, ASYMPTOTIC_MAX_TERMS + 1))
+        self._rgammas = rgamma(c + 1.0 + np.arange(SERIES_MAX_TERMS))
 
     @property
     def is_integer(self) -> bool:
@@ -157,7 +151,7 @@ class FcEvaluator:
         best = math.inf
         invz = 1.0 / zeta
         p = invz
-        for i in range(1, self.m_max + 1):
+        for i in range(1, ASYMPTOTIC_MAX_TERMS + 1):
             t = self._alphas[i - 1] * p
             if abs(t) > best:
                 break
@@ -167,15 +161,9 @@ class FcEvaluator:
         return acc
 
 
-_EVALUATORS: dict[float, FcEvaluator] = {}
-
-
+@functools.cache
 def _evaluator(c: float) -> FcEvaluator:
-    ev = _EVALUATORS.get(c)
-    if ev is None:
-        ev = FcEvaluator(float(c))
-        _EVALUATORS[c] = ev
-    return ev
+    return FcEvaluator(float(c))
 
 
 def f_c(zeta: complex, c: float) -> complex:
@@ -286,30 +274,22 @@ def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
         if depth > 60:
             raise ContourThroughZero("subdivision failed to isolate a zero")
         # split the longer side, jittering the cut off any zero
-        if bx1 - bx0 >= by1 - by0:
-            for frac in (0.5, 0.53, 0.47, 0.57):
+        split_x = bx1 - bx0 >= by1 - by0
+        for frac in (0.5, 0.53, 0.47, 0.57):
+            if split_x:
                 xm = bx0 + frac * (bx1 - bx0)
-                try:
-                    w1 = _boundary_winding(ev, bx0, xm, by0, by1)
-                    w2 = _boundary_winding(ev, xm, bx1, by0, by1)
-                except ContourThroughZero:
-                    continue
-                if w1 + w2 == count:
-                    descend(bx0, xm, by0, by1, w1, depth + 1)
-                    descend(xm, bx1, by0, by1, w2, depth + 1)
-                    return
-        else:
-            for frac in (0.5, 0.53, 0.47, 0.57):
+                halves = ((bx0, xm, by0, by1), (xm, bx1, by0, by1))
+            else:
                 ym = by0 + frac * (by1 - by0)
-                try:
-                    w1 = _boundary_winding(ev, bx0, bx1, by0, ym)
-                    w2 = _boundary_winding(ev, bx0, bx1, ym, by1)
-                except ContourThroughZero:
-                    continue
-                if w1 + w2 == count:
-                    descend(bx0, bx1, by0, ym, w1, depth + 1)
-                    descend(bx0, bx1, ym, by1, w2, depth + 1)
-                    return
+                halves = ((bx0, bx1, by0, ym), (bx0, bx1, ym, by1))
+            try:
+                w1, w2 = (_boundary_winding(ev, *h) for h in halves)
+            except ContourThroughZero:
+                continue
+            if w1 + w2 == count:
+                descend(*halves[0], w1, depth + 1)
+                descend(*halves[1], w2, depth + 1)
+                return
         raise ContourThroughZero("could not split the box cleanly; jitter it")
 
     descend(x0, x1, y0, y1, total, 0)
@@ -326,7 +306,7 @@ def _series_scale(ev: FcEvaluator, z: complex) -> float:
     term = 1.0
     az = abs(z)
     for k in range(SERIES_MAX_TERMS):
-        r = abs(float(rgamma(ev.c + k + 1.0)))
+        r = abs(float(ev._rgammas[k]))
         acc += term * r
         term *= az
         if term * r < 1e-18 * (acc + 1e-300) and k > az:

@@ -82,8 +82,6 @@ class Arc:
 @dataclass(frozen=True)
 class CurveSet:
     arcs: tuple[Arc, ...]
-    grid_resolution: int
-    refine_tol: float
     triple_points: tuple[complex, ...] = ()
 
 
@@ -264,30 +262,28 @@ def _genericity_flags(config: Configuration, L, chains):
     return tuple(flags)
 
 
-def _empty_regions(config: Configuration, L, grid: int = EMPTY_SCAN_GRID):
+def _empty_regions(config: Configuration, L):
     """Labels never attained on a coarse scan grid (empty-region report)."""
-    xs = np.linspace(-1.0, 1.0, grid)
+    xs = np.linspace(-1.0, 1.0, EMPTY_SCAN_GRID)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     labels = classify_many(X + 1j * Y, config, L)
     seen = set(np.unique(labels).tolist())
     return tuple(j for j in range(1, config.nu + 1) if j not in seen)
 
 
-def solve_structure(config: Configuration, require_generic: bool = True) -> SzegoStructure:
-    """Solve levels, derive chains/ell, and attach the genericity report."""
+def solve_structure(config: Configuration) -> SzegoStructure:
+    """Solve levels, derive chains/ell, and check genericity.
+
+    Raises :class:`NonGeneric`, with the empty regions in its report,
+    when some singular point does not sit between exactly two regions.
+    """
     L = solve_levels(config)
     empty = _empty_regions(config, L)
     try:
         chains, levels = compute_chains(config, L)
     except NonGeneric as exc:
         exc.report.setdefault("empty_regions", empty)
-        if require_generic:
-            raise
-        nu = config.nu
-        return SzegoStructure(
-            config, L, (complex("nan"),) * nu, ((0,),) * nu, (0,) * nu,
-            (False,) * nu, empty,
-        )
+        raise
     generic = _genericity_flags(config, L, chains)
     if empty:
         generic = tuple(g and (j + 1 not in empty) for j, g in enumerate(generic))
@@ -300,7 +296,7 @@ def solve_structure(config: Configuration, require_generic: bool = True) -> Szeg
         generic=generic,
         empty_regions=empty,
     )
-    if require_generic and not struct.is_generic:
+    if not struct.is_generic:
         raise NonGeneric(
             f"configuration is non-generic: generic={generic}, empty={empty}",
             {"L": tuple(L), "generic": generic, "empty_regions": empty},
@@ -419,12 +415,7 @@ def trace_curve(structure: SzegoStructure, grid: int = 400, tol: float = 1e-8) -
             f"{len(short)} arc(s) collapsed below 3 points at grid {grid}; "
             "raise the grid resolution"
         )
-    return CurveSet(
-        arcs=tuple(arcs),
-        grid_resolution=grid,
-        refine_tol=tol,
-        triple_points=tuple(triple_cells),
-    )
+    return CurveSet(arcs=tuple(arcs), triple_points=tuple(triple_cells))
 
 
 def _assemble_arcs(crossings, segments, structure, tol):

@@ -188,3 +188,36 @@ def test_numerical_failure_exit_code(tmp_path):
     out = str(tmp_path / "z.csv")
     assert main(["fc-zeros", "--c", "1.0", "--box", "0", "1", "5", "8",
                  "--out", out]) == 4
+
+
+def test_levels_manifest_beside_out(single_cfg_path, tmp_path):
+    out = str(tmp_path / "levels.json")
+    assert main(["levels", single_cfg_path, "--out", out]) == 0
+    man = json.loads(open(out + ".manifest.json").read())
+    assert man["command"] == "levels" and man["outputs"] == [out]
+
+
+@pytest.mark.parametrize("argv", [
+    "oracle {cfg} --degree 0 --out {out}",
+    "oracle {cfg} --degree -1 --out {out}",
+    "compare {cfg} --degree 0 --out {out}",
+    "levels {missing}",
+    "levels {truncated}",
+    "asymp {cfg} --points {missing} --out {out}",
+    "asymp {cfg} --points {bad_points} --out {out}",
+    "fc --c nan --out {out}",
+    "fc --c inf --out {out}",
+    "fc-zeros --c nan --box -0.5 1 5 8 --out {out}",
+    "fc-zeros --c 1 --box -0.5 nan 5 8 --out {out}",
+])
+def test_bad_input_exit_code(argv, single_cfg_path, tmp_path, capsys):
+    text = open(single_cfg_path).read()
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(text[: len(text) // 2])
+    bad_points = tmp_path / "points.csv"
+    bad_points.write_text("re,im\n0.2,0.1\n0.3,x\n")
+    paths = {"cfg": single_cfg_path, "out": str(tmp_path / "out.csv"),
+             "missing": str(tmp_path / "missing.json"),
+             "truncated": str(truncated), "bad_points": str(bad_points)}
+    assert main(argv.format(**paths).split()) == 2
+    assert capsys.readouterr().err.startswith("invalid configuration")

@@ -4,10 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from mszego.core import (BadExponent, CollinearTriple, ComplexPoint,
-                         ConfigError, Configuration, DuplicatePoint,
-                         OriginSingularity, OutsideDisk, config_from_json,
-                         config_to_json, validate_config)
+from mszego.core import (BadExponent, CollinearTriple, ConfigError,
+                         Configuration, DuplicatePoint, OriginSingularity,
+                         OutsideDisk, config_from_json, config_to_json,
+                         validate_config)
 
 
 def test_single_point_config_valid():
@@ -76,9 +76,9 @@ def test_json_field_names():
 
 
 def test_complex_point_finite():
-    with pytest.raises(ConfigError):
-        ComplexPoint(math.inf, 0.0)
-    assert ComplexPoint.from_complex(0.5 - 0.25j).to_complex() == 0.5 - 0.25j
+    for point in ([math.inf, 0.0], [0.5, math.nan]):
+        with pytest.raises(ConfigError):
+            config_from_json({"a": [point], "c": [1], "n": 4})
 
 
 def test_degree_zero_needs_explicit_scale():

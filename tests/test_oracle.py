@@ -7,7 +7,7 @@ from scipy.special import i0e
 
 from mszego.core import Configuration, validate_config
 from mszego.oracle import (IllConditioned, MomentMatrix,
-                           NonIntegerExponent, exact_moments, gaussian_moment,
+                           NonIntegerExponent, exact_moments,
                            moments_max_reldiff, monic_op,
                            orthogonality_residuals, poly_eval, quad_moments,
                            root_curve_distance, roots)
@@ -19,14 +19,6 @@ from conftest import A1
 @pytest.fixture(scope="module")
 def cfg_hand():
     return validate_config(Configuration(a=(A1,), c=(1.0,), n=6, N=1.0))
-
-
-def test_gaussian_moment_values():
-    assert gaussian_moment(0, 0, 1.0) == pytest.approx(math.pi, rel=1e-14)
-    assert gaussian_moment(2, 2, 1.0) == pytest.approx(2 * math.pi, rel=1e-14)
-    assert gaussian_moment(1, 0, 1.0) == 0.0
-    assert gaussian_moment(3, 3, 2.0) == pytest.approx(
-        math.pi * 6 / 16, rel=1e-12)
 
 
 def test_exact_moments_hand_values(cfg_hand):
@@ -219,8 +211,6 @@ def test_ill_conditioned_double_path():
     n = 24
     z = rng.normal(size=(n + 1, 4)) + 1j * rng.normal(size=(n + 1, 4))
     M = z @ z.conj().T  # rank 4: catastrophically singular
-    mm = MomentMatrix(entries=M, method="quadrature",
-                      config=validate_config(
-                          Configuration(a=(0.5,), c=(1.0,), n=n, N=1.0)))
+    mm = MomentMatrix(entries=M, method="quadrature")
     with pytest.raises(IllConditioned):
         monic_op(mm, n)

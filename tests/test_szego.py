@@ -193,10 +193,9 @@ def test_ell_two_step_unrolled(cfg_level2):
 
 def test_non_generic_detection():
     cfg = validate_config(Configuration(a=NON_GENERIC_A, c=(1.0, 1.0), n=20, N=None))
-    with pytest.raises(NonGeneric):
+    with pytest.raises(NonGeneric) as info:
         solve_structure(cfg)
-    st = solve_structure(cfg, require_generic=False)
-    assert not st.is_generic
+    assert "empty_regions" in info.value.report
 
 
 # -- curve tracing ---------------------------------------------------------------

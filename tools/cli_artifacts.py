@@ -1,0 +1,103 @@
+"""Write a fixed set of CLI artifacts for byte-identity checks.
+
+Usage::
+
+    PYTHONPATH=src python tools/cli_artifacts.py OUTDIR
+
+Runs the ``mszego`` command line (whichever package is first on
+``PYTHONPATH``) on the test configurations and writes every CSV/JSON
+output into OUTDIR, plus one ``<name>.stdout`` file per command holding
+its exit code, stdout and stderr.  The ``*.manifest.json`` files are
+deleted because they record wall time.  Two trees written from two
+versions of the package compare with ``diff -r``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+
+from mszego.cli import main
+
+A1 = 1 / math.sqrt(2)
+
+# the configurations of tests/conftest.py, as JSON documents
+CONFIGS = {
+    "single": {"a": [[A1, 0.0]], "c": [1.0], "n": 16},
+    "pair": {"a": [[0.5, -0.5], [-0.25, -0.5]], "c": [1.0, 1.0], "n": 16},
+    "level2": {"a": [[0.74, 0.2], [0.41, -0.03]], "c": [1.0, 1.0], "n": 24},
+    "level2_frac": {"a": [[0.74, 0.2], [0.41, -0.03]], "c": [0.7, 1.4], "n": 24},
+    "level3": {"a": [[0.69, -0.18], [0.29, -0.2], [0.17, -0.05]],
+               "c": [1.0, 1.0, 1.0], "n": 24},
+    "branchy": {"a": [[0.5, 0.1], [-0.2, 0.45], [0.1, -0.55]],
+                "c": [0.5, 1.3, -0.4], "n": 20},
+}
+INTEGER = ("single", "pair", "level2", "level3")
+
+
+def commands(out: str, cfgs: dict[str, str]):
+    """(name, argv) of every run; each name prefixes the files it writes."""
+    def path(name):
+        return os.path.join(out, name)
+
+    for key, cfg in cfgs.items():
+        yield f"levels_{key}", ["levels", cfg]
+        for grid in (400, 801):
+            name = f"curve_{key}_{grid}"
+            yield name, ["curve", cfg, "--grid", str(grid), "--out", path(name + ".csv")]
+        for mode in ("region", "uniform", "local"):
+            name = f"asymp_{key}_{mode}"
+            yield name, ["asymp", cfg, "--mode", mode, "--out", path(name + ".csv")]
+    for key in INTEGER:
+        cfg = cfgs[key]
+        for degree in (16, 32, 48):
+            name = f"compare_{key}_{degree}"
+            yield name, ["compare", cfg, "--degree", str(degree),
+                         "--out", path(name + ".csv")]
+        name = f"oracle_{key}"
+        yield name, ["oracle", cfg, "--out", path(name + ".csv"),
+                     "--moments-out", path(name + "_moments.json")]
+        name = f"oracle_{key}_40"
+        yield name, ["oracle", cfg, "--degree", "40", "--out", path(name + ".csv")]
+    for key, degree in (("branchy", 3), ("pair", 6)):
+        name = f"oracle_quad_{key}_{degree}"
+        yield name, ["oracle", cfgs[key], "--method", "quad", "--degree", str(degree),
+                     "--out", path(name + ".csv")]
+    for c in ("0.5", "1", "2.5", "-0.5"):
+        name = f"fc_{c}"
+        yield name, ["fc", "--c", c, "--out", path(name + ".csv")]
+    zero_runs = [("1", ("-2", "6", "0.5", "25"))]
+    zero_runs += [(c, ("-6", "20", "-21", "21")) for c in ("0.5", "-0.5", "1.3")]
+    zero_runs += [("2", ("-10.5", "10.5", "-10.5", "10.5"))]
+    for c, box in zero_runs:
+        name = f"fc_zeros_{c}_{'_'.join(box)}"
+        yield name, ["fc-zeros", "--c", c, "--box", *box, "--out", path(name + ".csv")]
+
+
+def run(out: str) -> None:
+    os.makedirs(out, exist_ok=True)
+    cfgs = {}
+    for key, doc in CONFIGS.items():
+        cfgs[key] = os.path.join(out, f"config_{key}.json")
+        with open(cfgs[key], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    for name, argv in commands(out, cfgs):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        with open(os.path.join(out, name + ".stdout"), "w", encoding="utf-8") as fh:
+            fh.write(f"exit {code}\n{stdout.getvalue()}{stderr.getvalue()}")
+        print(f"{name}: exit {code}", file=sys.stderr)
+    for fname in os.listdir(out):
+        if fname.endswith(".manifest.json"):
+            os.remove(os.path.join(out, fname))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    run(sys.argv[1])
