@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,13 +65,14 @@ class BranchContext:
 
     config: Configuration
     branch_shift: tuple[int, ...] = ()
-    _anchor_phase: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.branch_shift:
             object.__setattr__(self, "branch_shift", (0,) * self.config.nu)
         if len(self.branch_shift) != self.config.nu:
             raise ValueError("branch_shift length must equal nu")
+        # a cache, not a field: the constructor cannot set it
+        object.__setattr__(self, "_anchor_phase", {})
         for j in range(1, self.config.nu + 1):
             for k in range(1, self.config.nu + 1):
                 if j != k:

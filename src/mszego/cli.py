@@ -113,6 +113,19 @@ def _require_finite(flag: str, *values: float) -> None:
         raise ConfigError(f"{flag} must be finite, got {list(values)}")
 
 
+def _require_positive(flag: str, value: float) -> None:
+    _require_finite(flag, value)
+    if value <= 0:
+        raise ConfigError(f"{flag} must be positive, got {value}")
+
+
+def _grid(args) -> int:
+    """The --grid flag; a negative count is refused."""
+    if args.grid < 0:
+        raise ConfigError(f"--grid must be >= 0, got {args.grid}")
+    return args.grid
+
+
 def _degree(args, cfg) -> int:
     """The --degree flag, or the configuration's n; at least 1."""
     degree = cfg.n if args.degree is None else args.degree
@@ -157,8 +170,9 @@ def cmd_levels(args) -> list[str]:
 
 def cmd_curve(args) -> list[str]:
     cfg = load_config(args.config)
+    _require_positive("--tol", args.tol)
     structure = solve_structure(cfg)
-    curve = trace_curve(structure, grid=args.grid, tol=args.tol)
+    curve = trace_curve(structure, grid=_grid(args), tol=args.tol)
     rows = []
     for i, arc in enumerate(curve.arcs):
         for p in arc.points:
@@ -175,19 +189,24 @@ def cmd_curve(args) -> list[str]:
 
 def _asymp_points(args):
     if not args.points:
-        xs = np.linspace(-args.extent, args.extent, args.grid)
+        _require_finite("--extent", args.extent)
+        xs = np.linspace(-args.extent, args.extent, _grid(args))
         return [complex(x, y) for x in xs for y in xs]
     try:
         with open(args.points, "r", encoding="utf-8") as fh:
             fh.readline()  # header
             rows = [line.strip().split(",") for line in fh]
-        return [complex(float(p[0]), float(p[1])) for p in rows if len(p) >= 2]
+        pts = [complex(float(p[0]), float(p[1])) for p in rows if len(p) >= 2]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read points file {args.points}: {exc}") from exc
+    for z in pts:
+        _require_finite(f"a point of {args.points}", z.real, z.imag)
+    return pts
 
 
 def cmd_asymp(args) -> list[str]:
     cfg = load_config(args.config)
+    _require_finite("--tau", args.tau)
     model = build_model(cfg)
     pts = _asymp_points(args)
     rows = []
@@ -213,8 +232,9 @@ def cmd_asymp(args) -> list[str]:
 
 def cmd_fc(args) -> list[str]:
     _require_finite("--c", args.c)
+    _require_finite("--extent", args.extent)
     ev = FcEvaluator(args.c)
-    xs = np.linspace(-args.extent, args.extent, args.grid)
+    xs = np.linspace(-args.extent, args.extent, _grid(args))
     rows = []
     for x in xs:
         for y in xs:
@@ -231,6 +251,7 @@ def cmd_fc(args) -> list[str]:
 def cmd_fc_zeros(args) -> list[str]:
     _require_finite("--c", args.c)
     _require_finite("--box", *args.box)
+    _require_positive("--tol", args.tol)
     ev = FcEvaluator(args.c)
     zs = zeros_E_c(args.c, tuple(args.box), tol=args.tol)
     rows = [(float(z.real), float(z.imag), float(abs(ev.entire(z)))) for z in zs]
@@ -271,6 +292,7 @@ def cmd_oracle(args) -> list[str]:
 def cmd_compare(args) -> list[str]:
     cfg = load_config(args.config)
     degree = _degree(args, cfg)
+    grid = _grid(args)
     run_cfg = cfg.replace_degree(degree)
     structure = solve_structure(run_cfg)
     model = build_model(run_cfg, structure)
@@ -307,7 +329,7 @@ def cmd_compare(args) -> list[str]:
     _write_csv(args.out, ["re", "im", "label", "oracle_re", "oracle_im",
                           "asymp_re", "asymp_im", "rel_err"], rows)
 
-    curve = trace_curve(structure, grid=args.grid, tol=1e-8)
+    curve = trace_curve(structure, grid=grid, tol=1e-8)
     rts, _ = roots(poly)
     excl = max(model.disk_radius(j) for j in range(1, run_cfg.nu + 1))
     summary = root_curve_distance(rts, curve, excl, centers=run_cfg.a)

@@ -1,31 +1,37 @@
 """Double-double arithmetic (about 31 significant decimal digits).
 
-Numbers are unevaluated sums of two IEEE doubles ``(hi, lo)`` with
-``|lo| <= 0.5 ulp(hi)``; complex values are pairs of those.  Products
-use Dekker splitting (no FMA assumed).  Only what the moment oracle
-needs is implemented: field operations, square root, conversion, a
-Hermitian Cholesky solve and polynomial evaluation.
+Numbers are unevaluated sums ``(hi, lo)`` with ``|lo| <= 0.5 ulp(hi)``
+whose parts are floats, complex numbers or numpy arrays; a complex value
+keeps its real and imaginary double-doubles in the real and imaginary
+parts of ``hi`` and ``lo``.  Sums are componentwise, so only products
+and quotients split a value into its parts.  Products use Dekker
+splitting (no FMA assumed); every step is one IEEE operation, so an
+array call gives the bits of the scalar calls.  Only what the moment
+oracle needs is implemented: field operations, square root, rounding,
+a Hermitian Cholesky solve and polynomial evaluation.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
-def _two_sum(a: float, b: float):
+def _two_sum(a, b):
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _quick_sum(a: float, b: float):
+def _quick_sum(a, b):
     s = a + b
     return s, b - (s - a)
 
 
-def _two_prod(a: float, b: float):
+def _two_prod(a, b):
     p = a * b
     ca = _SPLIT * a
     ahi = ca - (ca - a)
@@ -37,17 +43,19 @@ def _two_prod(a: float, b: float):
     return p, err
 
 
-def dd(x) -> tuple[float, float]:
-    """Promote a float or exact int to a double-double."""
-    if isinstance(x, tuple):
-        return x
+def dd(x):
+    """Promote an exact int, a float, a complex number or an array."""
     if isinstance(x, int):
         hi = float(x)
         return hi, float(x - int(hi))
+    if isinstance(x, np.ndarray):
+        return x, np.zeros_like(x)
+    if isinstance(x, complex):
+        return x, 0j
     return float(x), 0.0
 
 
-def dd_add(x, y):
+def add(x, y):
     s1, s2 = _two_sum(x[0], y[0])
     t1, t2 = _two_sum(x[1], y[1])
     s2 += t1
@@ -56,152 +64,151 @@ def dd_add(x, y):
     return _quick_sum(s1, s2)
 
 
-def dd_neg(x):
+def neg(x):
     return -x[0], -x[1]
 
 
-def dd_sub(x, y):
-    return dd_add(x, dd_neg(y))
+def sub(x, y):
+    return add(x, neg(y))
 
 
-def dd_mul(x, y):
+def conj(x):
+    return x[0].conjugate(), x[1].conjugate()
+
+
+def value(x):
+    """Round to the nearest double (complex or array alike)."""
+    return x[0] + x[1]
+
+
+def mul(x, y):
+    """Product of real double-doubles."""
     p1, p2 = _two_prod(x[0], y[0])
     p2 += x[0] * y[1] + x[1] * y[0]
     return _quick_sum(p1, p2)
 
 
-def dd_div(x, y):
+def div(x, y):
+    """Quotient of real double-doubles."""
     q1 = x[0] / y[0]
-    r = dd_sub(x, dd_mul((q1, 0.0), y))
+    r = sub(x, mul((q1, 0.0), y))
     q2 = r[0] / y[0]
-    r = dd_sub(r, dd_mul((q2, 0.0), y))
+    r = sub(r, mul((q2, 0.0), y))
     q3 = r[0] / y[0]
     s, e = _quick_sum(q1, q2)
-    return dd_add((s, e), (q3, 0.0))
+    return add((s, e), (q3, 0.0))
 
 
-def dd_sqrt(x):
+def sqrt(x):
     if x[0] < 0:
-        raise ValueError("dd_sqrt of a negative number")
+        raise ValueError("sqrt of a negative double-double")
     if x[0] == 0:
         return 0.0, 0.0
     a = math.sqrt(x[0])
-    r = dd_sub(x, dd_mul((a, 0.0), (a, 0.0)))
+    r = sub(x, mul((a, 0.0), (a, 0.0)))
     return _quick_sum(a, r[0] / (2.0 * a))
 
 
-def dd_float(x) -> float:
-    return x[0] + x[1]
+PI = (3.141592653589793, 1.2246467991473532e-16)
 
 
-DD_ZERO = (0.0, 0.0)
-DD_ONE = (1.0, 0.0)
-DD_PI = (3.141592653589793, 1.2246467991473532e-16)
+def _parts(x):
+    """The real and imaginary double-doubles of a complex one."""
+    return (x[0].real, x[1].real), (x[0].imag, x[1].imag)
 
 
-# -- complex double-double: ((re_hi, re_lo), (im_hi, im_lo)) ---------------
+def _join(re, im):
+    """A complex double-double from its real and imaginary double-doubles."""
+    # re + 1j*im would turn a -0.0 real part into +0.0
+    if isinstance(re[0], float):
+        return complex(re[0], im[0]), complex(re[1], im[1])
+    hi = np.empty(np.shape(re[0]), dtype=complex)
+    lo = np.empty_like(hi)
+    hi.real, hi.imag = re[0], im[0]
+    lo.real, lo.imag = re[1], im[1]
+    return hi, lo
 
 
-def cdd(z) -> tuple:
-    if isinstance(z, tuple) and isinstance(z[0], tuple):
-        return z
-    z = complex(z)
-    return dd(z.real), dd(z.imag)
+def cmul(x, y):
+    """Product of complex double-doubles."""
+    (xr, xi), (yr, yi) = _parts(x), _parts(y)
+    return _join(sub(mul(xr, yr), mul(xi, yi)), add(mul(xr, yi), mul(xi, yr)))
 
 
-def cdd_add(x, y):
-    return dd_add(x[0], y[0]), dd_add(x[1], y[1])
+def _by_parts(op, x, s):
+    re, im = _parts(x)
+    return _join(op(re, s), op(im, s))
 
 
-def cdd_sub(x, y):
-    return dd_sub(x[0], y[0]), dd_sub(x[1], y[1])
+def scale(x, s):
+    """Multiply a complex double-double by a real one."""
+    return _by_parts(mul, x, s)
 
 
-def cdd_mul(x, y):
-    re = dd_sub(dd_mul(x[0], y[0]), dd_mul(x[1], y[1]))
-    im = dd_add(dd_mul(x[0], y[1]), dd_mul(x[1], y[0]))
-    return re, im
-
-
-def cdd_conj(x):
-    return x[0], dd_neg(x[1])
-
-
-def cdd_scale(x, s):
-    """Multiply by a real double-double."""
-    return dd_mul(x[0], s), dd_mul(x[1], s)
-
-
-def cdd_abs2(x):
-    return dd_add(dd_mul(x[0], x[0]), dd_mul(x[1], x[1]))
-
-
-def cdd_complex(x) -> complex:
-    return complex(dd_float(x[0]), dd_float(x[1]))
-
-
-CDD_ZERO = (DD_ZERO, DD_ZERO)
-CDD_ONE = (DD_ONE, DD_ZERO)
-
-
-def cdd_poly_mul(p, q):
-    """Product of coefficient lists (ascending powers) of cdd values."""
-    out = [CDD_ZERO] * (len(p) + len(q) - 1)
+def poly_mul(p, q):
+    """Product of coefficient lists (ascending powers) of complex double-doubles."""
+    out = [(0j, 0j)] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
         for j, qj in enumerate(q):
-            out[i + j] = cdd_add(out[i + j], cdd_mul(pi, qj))
+            out[i + j] = add(out[i + j], cmul(pi, qj))
     return out
 
 
-def cdd_horner(coeffs, z):
-    """Evaluate an ascending-coefficient polynomial at a cdd point."""
-    z = cdd(z)
-    acc = CDD_ZERO
-    for c in reversed(coeffs):
-        acc = cdd_add(cdd_mul(acc, z), c)
+def horner(coeffs, z):
+    """Evaluate a polynomial at a complex point or an array of points.
+
+    ``coeffs`` is a pair of ascending coefficient sequences (hi, lo).
+    """
+    hi, lo = coeffs
+    z = dd(z)
+    acc = (0j, 0j)
+    for k in reversed(range(len(hi))):
+        acc = add(cmul(acc, z), (hi[k], lo[k]))
     return acc
 
 
-def cholesky_solve_hermitian(A, rhs, band: int | None = None):
-    """Solve A x = rhs for Hermitian positive definite A of cdd entries.
+def cholesky_solve_hermitian(A, rhs, band: int):
+    """Solve A x = rhs for a Hermitian positive definite double-double A.
 
-    ``A`` is a full square list-of-lists (row major), ``rhs`` a list.
-    ``band`` skips the zero blocks of banded matrices.  Returns the
-    solution list and the diagonal of the Cholesky factor (hi parts)
-    for conditioning diagnostics.  Raises ArithmeticError on a
-    nonpositive pivot.
+    ``A`` is a pair (hi, lo) of complex square arrays, ``rhs`` a pair of
+    vectors; entries more than ``band`` off the diagonal are skipped.
+    Returns the solution pair and the diagonal of the Cholesky factor
+    (hi parts) for conditioning diagnostics.  Raises ArithmeticError on
+    a nonpositive pivot.  The loops run on Python scalars, faster here
+    than numpy's.
     """
-    m = len(A)
-    if band is None:
-        band = m
-    L = [[CDD_ZERO] * m for _ in range(m)]
-    diag = [DD_ZERO] * m
+    A_hi, A_lo = A[0].tolist(), A[1].tolist()
+    rhs = list(zip(rhs[0].tolist(), rhs[1].tolist()))
+    m = len(A_hi)
+    L = [[(0j, 0j)] * m for _ in range(m)]
+    diag = [(0.0, 0.0)] * m
     for i in range(m):
-        lo = max(0, i - band)
-        for k in range(lo, i):
-            acc = A[i][k]
-            for t in range(max(lo, k - band), k):
-                acc = cdd_sub(acc, cdd_mul(L[i][t], cdd_conj(L[k][t])))
-            L[i][k] = (dd_div(acc[0], diag[k]), dd_div(acc[1], diag[k]))
-        acc_r = A[i][i][0]
-        for t in range(lo, i):
-            acc_r = dd_sub(acc_r, cdd_abs2(L[i][t]))
+        first = max(0, i - band)
+        for k in range(first, i):
+            acc = A_hi[i][k], A_lo[i][k]
+            for t in range(max(first, k - band), k):
+                acc = sub(acc, cmul(L[i][t], conj(L[k][t])))
+            L[i][k] = _by_parts(div, acc, diag[k])
+        acc_r = A_hi[i][i].real, A_lo[i][i].real
+        for t in range(first, i):
+            re, im = _parts(L[i][t])
+            acc_r = sub(acc_r, add(mul(re, re), mul(im, im)))
         if acc_r[0] <= 0.0:
             raise ArithmeticError(f"nonpositive Cholesky pivot at row {i}")
-        diag[i] = dd_sqrt(acc_r)
-        L[i][i] = (diag[i], DD_ZERO)
+        diag[i] = sqrt(acc_r)
 
     # forward then adjoint-backward substitution
-    y = [CDD_ZERO] * m
+    y = [(0j, 0j)] * m
     for i in range(m):
         acc = rhs[i]
         for t in range(max(0, i - band), i):
-            acc = cdd_sub(acc, cdd_mul(L[i][t], y[t]))
-        y[i] = (dd_div(acc[0], diag[i]), dd_div(acc[1], diag[i]))
-    x = [CDD_ZERO] * m
+            acc = sub(acc, cmul(L[i][t], y[t]))
+        y[i] = _by_parts(div, acc, diag[i])
+    x = [(0j, 0j)] * m
     for i in reversed(range(m)):
         acc = y[i]
         for t in range(i + 1, min(m, i + band + 1)):
-            acc = cdd_sub(acc, cdd_mul(cdd_conj(L[t][i]), x[t]))
-        x[i] = (dd_div(acc[0], diag[i]), dd_div(acc[1], diag[i]))
-    return x, [d[0] for d in diag]
+            acc = sub(acc, cmul(conj(L[t][i]), x[t]))
+        x[i] = _by_parts(div, acc, diag[i])
+    return (np.array([v[0] for v in x], dtype=complex),
+            np.array([v[1] for v in x], dtype=complex)), [d[0] for d in diag]

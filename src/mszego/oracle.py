@@ -4,8 +4,9 @@ The oracle never uses asymptotics: moments of the planar weight are
 computed either exactly (integer exponents, closed-form Gaussian
 moments) or by polar quadrature (any exponents), the monic polynomial
 comes from the Hermitian Gram solve, and roots from simultaneous
-Aberth-Ehrlich iteration.  Exact moments are carried in double-double
-precision so that degrees past ~20 keep usable orthogonality residuals.
+Aberth-Ehrlich iteration.  Both moment methods carry moments and
+coefficients in double-double precision (``ddnum``) so that degrees past
+~20 keep usable orthogonality residuals.
 """
 
 from __future__ import annotations
@@ -64,15 +65,15 @@ class NoConvergence(Exception):
 class MomentMatrix:
     """Inner products <z^j, z^k> of monomials under the planar weight.
 
-    ``entries`` is complex128 for the quadrature method; the exact
-    method additionally stores ``entries_dd`` (nested lists of
-    double-double pairs) used by the high-degree solve.
+    ``(entries, entries_lo)`` is the double-double matrix: rounded
+    values and low parts, which are zero for quadrature moments.
+    Entries more than ``band`` off the diagonal are zero.
     """
 
     entries: np.ndarray
+    entries_lo: np.ndarray
     method: str                    # "exact-integer-c" | "quadrature"
-    entries_dd: list | None = None
-    band: int | None = None
+    band: int
 
     @property
     def size(self) -> int:
@@ -84,8 +85,8 @@ class MonicPolynomial:
     degree: int
     coeffs: np.ndarray             # ascending, length degree+1, leading 1
     h_n: float
-    cond_estimate: float
-    coeffs_dd: list                # the same coefficients in double-double
+    cond_estimate: float           # (max/min Cholesky diagonal)^2 of the Gram matrix
+    coeffs_lo: np.ndarray          # low parts of the double-double coefficients
 
 
 @dataclass(frozen=True)
@@ -96,15 +97,15 @@ class RootDistanceSummary:
 
 
 def _weight_poly_dd(config: Configuration):
-    """Coefficients of prod (z - a_i)^(c_i) for integer exponents, in cdd."""
-    poly = [dd.CDD_ONE]
+    """Coefficients of prod (z - a_i)^(c_i) for integer exponents, in double-double."""
+    poly = [dd.dd(1 + 0j)]
     for aj, cj in zip(config.a, config.c):
         ci = int(round(cj))
         if ci != cj or ci < 1:
             raise NonIntegerExponent(f"exponent {cj} is not a positive integer")
-        factor = [dd.cdd(-aj), dd.CDD_ONE]
+        factor = [dd.dd(complex(-aj)), dd.dd(1 + 0j)]
         for _ in range(ci):
-            poly = dd.cdd_poly_mul(poly, factor)
+            poly = dd.poly_mul(poly, factor)
     return poly
 
 
@@ -131,25 +132,24 @@ def exact_moments(config: Configuration) -> MomentMatrix:
     for m in range(n + C + 1):
         if m > 0:
             fact *= m
-            npow = dd.dd_mul(npow, dd.dd(N))
-        g.append(dd.dd_mul(dd.DD_PI, dd.dd_div(dd.dd(fact), npow)))
+            npow = dd.mul(npow, dd.dd(N))
+        g.append(dd.mul(dd.PI, dd.div(dd.dd(fact), npow)))
+    g_hi, g_lo = np.array(g).T
 
+    # one diagonal offset d = k - j at a time, for all rows j at once
     size = n + 1
-    M = [[dd.CDD_ZERO] * size for _ in range(size)]
-    for j in range(size):
-        for k in range(j, min(size, j + C + 1)):
-            acc = dd.CDD_ZERO
-            for p in range(C + 1):
-                q = j + p - k
-                if 0 <= q <= C:
-                    term = dd.cdd_mul(alpha[p], dd.cdd_conj(alpha[q]))
-                    acc = dd.cdd_add(acc, dd.cdd_scale(term, g[j + p]))
-            M[j][k] = acc
-            M[k][j] = dd.cdd_conj(acc)
-    entries = np.array([[dd.cdd_complex(M[j][k]) for k in range(size)]
-                        for j in range(size)], dtype=complex)
-    return MomentMatrix(entries=entries, method="exact-integer-c",
-                        entries_dd=M, band=C)
+    hi = np.zeros((size, size), dtype=complex)
+    lo = np.zeros((size, size), dtype=complex)
+    for d in range(min(C, n) + 1):
+        rows = size - d
+        acc = (0j, 0j)
+        for p in range(d, C + 1):
+            term = dd.cmul(alpha[p], dd.conj(alpha[p - d]))
+            acc = dd.add(acc, dd.scale(term, (g_hi[p:p + rows], g_lo[p:p + rows])))
+        j = np.arange(rows)
+        hi[j, j + d], lo[j, j + d] = acc
+        hi[j + d, j], lo[j + d, j] = dd.conj(acc)
+    return MomentMatrix(entries=hi, entries_lo=lo, method="exact-integer-c", band=C)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,8 @@ def quad_moments(config: Configuration) -> MomentMatrix:
             f"mesh doubling stalled at relative difference {err:.3e} "
             f"(target {QUAD_TARGET:.1e})")
     best = 0.5 * (best + best.conj().T)
-    return MomentMatrix(entries=best, method="quadrature")
+    return MomentMatrix(entries=best, entries_lo=np.zeros_like(best),
+                        method="quadrature", band=size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,74 +316,62 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
     """Monic degree-n polynomial orthogonal to 1, z, ..., z^(n-1).
 
     Solves sum_k b_k <z^k, z^m> = -<z^n, z^m> and forms the squared
-    norm h_n; uses the double-double path whenever the moment matrix
-    carries extended-precision entries.
+    norm h_n in double-double.  Quadrature moments are good to about
+    1e-10 only, so a quadrature condition past 1e13 is refused.
     """
     if n + 1 > moments.size:
         raise ValueError(f"moment matrix of size {moments.size} cannot build degree {n}")
+    hi, lo = moments.entries, moments.entries_lo
     if n == 0:
-        h = float(moments.entries[0, 0].real)
-        return MonicPolynomial(0, np.array([1.0 + 0j]), h, 1.0,
-                               coeffs_dd=[dd.CDD_ONE])
-
-    if moments.entries_dd is not None:
-        Mdd = moments.entries_dd
-        A = [[Mdd[k][m] for k in range(n)] for m in range(n)]
-        rhs = [dd.cdd_scale(Mdd[n][m], dd.dd(-1.0)) for m in range(n)]
-        try:
-            x, diag = dd.cholesky_solve_hermitian(A, rhs, band=moments.band)
-        except ArithmeticError as exc:
-            raise IllConditioned(str(exc), math.inf) from exc
-        cond = (max(diag) / min(diag)) ** 2
-        coeffs_dd = x + [dd.CDD_ONE]
-        h = _column_dot_dd(coeffs_dd, Mdd, n).real
-        coeffs = np.array([dd.cdd_complex(ck) for ck in coeffs_dd])
-    else:
-        M = moments.entries
-        A = M[:n, :n].T.copy()
-        rhs = -M[n, :n]
-        cond = float(np.linalg.cond(A))
+        return MonicPolynomial(0, np.array([1.0 + 0j]), float(hi[0, 0].real), 1.0,
+                               coeffs_lo=np.zeros(1, dtype=complex))
+    if moments.method == "quadrature":
+        cond = float(np.linalg.cond(hi[:n, :n]))
         if cond > 1e13:
             raise IllConditioned(
-                f"double-precision Gram solve at degree {n} has condition ~{cond:.2e}; "
-                "use the extended-precision exact-moment path", cond)
-        b = np.linalg.solve(A, rhs)
-        coeffs = np.concatenate([b, [1.0 + 0j]])
-        coeffs_dd = [dd.cdd(ck) for ck in coeffs]
-        h = float(np.real(np.sum(coeffs * M[: n + 1, n])))
+                f"quadrature Gram solve at degree {n} has condition ~{cond:.2e}; "
+                "use the exact-moment path", cond)
+
+    A = (hi[:n, :n].T, lo[:n, :n].T)
+    rhs = dd.scale((hi[n, :n], lo[n, :n]), dd.dd(-1.0))
+    try:
+        x, diag = dd.cholesky_solve_hermitian(A, rhs, band=moments.band)
+    except ArithmeticError as exc:
+        raise IllConditioned(str(exc), math.inf) from exc
+    cond = (max(diag) / min(diag)) ** 2
+    coeffs = (np.append(x[0], 1.0), np.append(x[1], 0.0))
+    h = float(_column_dots(coeffs, moments, slice(n, n + 1))[0].real)
     if not (h > 0):
         raise IllConditioned(f"nonpositive norm h_n = {h}", cond)
-    return MonicPolynomial(n, coeffs, h, cond, coeffs_dd=coeffs_dd)
+    return MonicPolynomial(n, coeffs[0], h, cond, coeffs_lo=coeffs[1])
 
 
-def poly_eval(poly: MonicPolynomial, z: complex) -> complex:
+def poly_eval(poly: MonicPolynomial, z):
     """Evaluate through the double-double coefficients (cancellation-safe)."""
-    return dd.cdd_complex(dd.cdd_horner(poly.coeffs_dd, z))
+    if np.ndim(z):
+        return dd.value(dd.horner((poly.coeffs, poly.coeffs_lo), z))
+    # at one point, Python scalars run three times faster than numpy's
+    return dd.value(dd.horner((poly.coeffs.tolist(), poly.coeffs_lo.tolist()), complex(z)))
 
 
-def _column_dot_dd(coeffs_dd, Mdd, m: int) -> complex:
-    """sum_k b_k <z^k, z^m> in double-double, rounded to complex."""
-    acc = dd.CDD_ZERO
-    for k, bk in enumerate(coeffs_dd):
-        acc = dd.cdd_add(acc, dd.cdd_mul(bk, Mdd[k][m]))
-    return dd.cdd_complex(acc)
+def _column_dots(coeffs, moments: MomentMatrix, cols: slice) -> np.ndarray:
+    """sum_k b_k <z^k, z^m> in double-double for each column m, rounded to complex."""
+    m = len(coeffs[0])
+    terms = dd.cmul((coeffs[0][:, None], coeffs[1][:, None]),
+                    (moments.entries[:m, cols], moments.entries_lo[:m, cols]))
+    acc = (0j, 0j)
+    for k in range(m):
+        acc = dd.add(acc, (terms[0][k], terms[1][k]))
+    return dd.value(acc)
 
 
 def orthogonality_residuals(moments: MomentMatrix, poly: MonicPolynomial) -> np.ndarray:
     """Normalized |<p_n, z^m>| / (sqrt(h_n) sqrt(<z^m,z^m>)) for m < n."""
     n = poly.degree
-    out = np.empty(n)
-    if moments.entries_dd is not None:
-        Mdd = moments.entries_dd
-        for m in range(n):
-            val = abs(_column_dot_dd(poly.coeffs_dd, Mdd, m))
-            out[m] = val / math.sqrt(poly.h_n * dd.cdd_complex(Mdd[m][m]).real)
-    else:
-        M = moments.entries
-        for m in range(n):
-            val = abs(np.sum(poly.coeffs * M[: n + 1, m]))
-            out[m] = val / math.sqrt(poly.h_n * M[m, m].real)
-    return out
+    v = _column_dots((poly.coeffs, poly.coeffs_lo), moments, slice(0, n))
+    norms = dd.value((moments.entries.diagonal(), moments.entries_lo.diagonal()))[:n].real
+    # np.hypot rounds like abs() of a Python complex; np.abs does not
+    return np.hypot(v.real, v.imag) / np.sqrt(poly.h_n * norms)
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +420,19 @@ def roots(poly: MonicPolynomial):
             converged = True
             break
 
-    # double-double Newton polish (simple roots gain ~6 digits)
-    dcoeffs = [dd.cdd_scale(ck, dd.dd(float(k)))
-               for k, ck in enumerate(poly.coeffs_dd)][1:]
-    for i in range(n):
-        for _ in range(2):
-            pv = dd.cdd_complex(dd.cdd_horner(poly.coeffs_dd, z[i]))
-            qv = dd.cdd_complex(dd.cdd_horner(dcoeffs, z[i]))
-            if qv != 0 and abs(pv / qv) < 0.1:
-                z[i] = z[i] - pv / qv
+    # double-double Newton polish (simple roots gain ~6 digits); the step stays
+    # in Python complex arithmetic, whose division differs from numpy's
+    coeffs = (poly.coeffs, poly.coeffs_lo)
+    dcoeffs = dd.scale(coeffs, dd.dd(np.arange(n + 1, dtype=float)))
+    dcoeffs = (dcoeffs[0][1:], dcoeffs[1][1:])
+    for _ in range(2):
+        pv = dd.value(dd.horner(coeffs, z)).tolist()
+        qv = dd.value(dd.horner(dcoeffs, z)).tolist()
+        for i in range(n):
+            if qv[i] != 0 and abs(pv[i] / qv[i]) < 0.1:
+                z[i] = z[i] - pv[i] / qv[i]
 
-    pv = np.array([poly_eval(poly, zi) for zi in z])
+    pv = poly_eval(poly, z)
     qv = horner_all(z)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         newton_resid = np.where(qv != 0, np.abs(pv / qv), np.inf) / (1.0 + np.abs(z))

@@ -60,7 +60,8 @@ class NonGeneric(Exception):
 
 
 class DegenerateArc(Exception):
-    """An extracted arc has fewer than 3 points; raise the grid resolution."""
+    """An extracted arc has fewer than 3 points, or a bounded region borders
+    no arc; raise the grid resolution."""
 
 
 @dataclass(frozen=True)
@@ -409,6 +410,12 @@ def trace_curve(structure: SzegoStructure, grid: int = 400, tol: float = 1e-8) -
     arcs = _assemble_arcs(crossings, segments, structure, tol)
     if not arcs:
         raise DegenerateArc("no arcs extracted; raise the grid resolution")
+    missing = set(range(1, config.nu + 1)) - {lab for a in arcs for lab in (a.j, a.k)}
+    if missing:
+        raise DegenerateArc(
+            f"region(s) {sorted(missing)} border no arc at grid {grid}; "
+            "raise the grid resolution"
+        )
     short = [a for a in arcs if len(a.points) < 3]
     if short:
         raise DegenerateArc(

@@ -190,6 +190,13 @@ def test_numerical_failure_exit_code(tmp_path):
                  "--out", out]) == 4
 
 
+def test_curve_missing_region_exit_code(pair_cfg_path, tmp_path, capsys):
+    # at grid 3 no lattice node lies in region 2, so no arc borders it
+    out = str(tmp_path / "arcs.csv")
+    assert main(["curve", pair_cfg_path, "--grid", "3", "--out", out]) == 4
+    assert "border no arc" in capsys.readouterr().err
+
+
 def test_levels_manifest_beside_out(single_cfg_path, tmp_path):
     out = str(tmp_path / "levels.json")
     assert main(["levels", single_cfg_path, "--out", out]) == 0
@@ -209,6 +216,18 @@ def test_levels_manifest_beside_out(single_cfg_path, tmp_path):
     "fc --c inf --out {out}",
     "fc-zeros --c nan --box -0.5 1 5 8 --out {out}",
     "fc-zeros --c 1 --box -0.5 nan 5 8 --out {out}",
+    "curve {cfg} --tol 0 --out {out}",
+    "curve {cfg} --tol nan --out {out}",
+    "fc-zeros --c 1 --box -2 6 0.5 25 --tol 0 --out {out}",
+    "fc-zeros --c 1 --box -2 6 0.5 25 --tol nan --out {out}",
+    "fc --c 1 --extent nan --grid 3 --out {out}",
+    "asymp {cfg} --extent nan --grid 3 --out {out}",
+    "asymp {cfg} --points {nan_points} --out {out}",
+    "asymp {cfg} --mode uniform --tau nan --grid 3 --out {out}",
+    "curve {cfg} --grid -3 --out {out}",
+    "compare {cfg} --grid -3 --out {out}",
+    "asymp {cfg} --grid -3 --out {out}",
+    "fc --c 1 --grid -3 --out {out}",
 ])
 def test_bad_input_exit_code(argv, single_cfg_path, tmp_path, capsys):
     text = open(single_cfg_path).read()
@@ -216,8 +235,11 @@ def test_bad_input_exit_code(argv, single_cfg_path, tmp_path, capsys):
     truncated.write_text(text[: len(text) // 2])
     bad_points = tmp_path / "points.csv"
     bad_points.write_text("re,im\n0.2,0.1\n0.3,x\n")
+    nan_points = tmp_path / "nan_points.csv"
+    nan_points.write_text("re,im\n0.2,0.1\nnan,0.1\n")
     paths = {"cfg": single_cfg_path, "out": str(tmp_path / "out.csv"),
              "missing": str(tmp_path / "missing.json"),
-             "truncated": str(truncated), "bad_points": str(bad_points)}
+             "truncated": str(truncated), "bad_points": str(bad_points),
+             "nan_points": str(nan_points)}
     assert main(argv.format(**paths).split()) == 2
     assert capsys.readouterr().err.startswith("invalid configuration")

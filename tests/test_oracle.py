@@ -94,10 +94,11 @@ def test_orthogonality_degree_32_extended(cfg_pair):
     from mszego import ddnum as dd
     worst = 0.0
     for m in range(32):
-        acc = dd.CDD_ZERO
+        acc = dd.dd(0j)
         for k in range(33):
-            acc = dd.cdd_add(acc, dd.cdd_mul(p.coeffs_dd[k], M.entries_dd[k][m]))
-        worst = max(worst, abs(dd.cdd_complex(acc)))
+            acc = dd.add(acc, dd.cmul((p.coeffs[k], p.coeffs_lo[k]),
+                                      (M.entries[k, m], M.entries_lo[k, m])))
+        worst = max(worst, abs(dd.value(acc)))
     assert worst / p.h_n < 1e-8
 
 
@@ -106,9 +107,9 @@ def test_quadrature_matches_exact_integer(cfg_pair):
     Mq = quad_moments(cfg)
     Me = exact_moments(cfg)
     assert moments_max_reldiff(Mq.entries, Me.entries) < 1e-9
-    # the quadrature matrix drives the double-precision solve cleanly
+    # the quadrature matrix drives the double-double solve cleanly
     p = monic_op(Mq, 10)
-    assert orthogonality_residuals(Mq, p).max() < 1e-6
+    assert orthogonality_residuals(Mq, p).max() < 1e-28
 
 
 def test_quadrature_singular_weight_bessel_identity():
@@ -144,11 +145,10 @@ def test_roots_triple_zero():
 
 
 def monic_from_coeffs(coeffs):
-    from mszego import ddnum as dd
     from mszego.oracle import MonicPolynomial
     arr = np.array(coeffs, dtype=complex)
     return MonicPolynomial(len(arr) - 1, arr, 1.0, 1.0,
-                           coeffs_dd=[dd.cdd(c) for c in arr])
+                           coeffs_lo=np.zeros_like(arr))
 
 
 def test_roots_vieta(cfg_pair):
@@ -206,11 +206,12 @@ def test_scaling_covariance():
 
 
 def test_ill_conditioned_double_path():
-    # the double-precision path refuses a hopeless solve
+    # the quadrature guard refuses a hopeless solve before the Cholesky
     rng = np.random.default_rng(0)
     n = 24
     z = rng.normal(size=(n + 1, 4)) + 1j * rng.normal(size=(n + 1, 4))
     M = z @ z.conj().T  # rank 4: catastrophically singular
-    mm = MomentMatrix(entries=M, method="quadrature")
+    mm = MomentMatrix(entries=M, entries_lo=np.zeros_like(M), method="quadrature",
+                      band=n)
     with pytest.raises(IllConditioned):
         monic_op(mm, n)

@@ -67,6 +67,9 @@ def commands(out: str, cfgs: dict[str, str]):
         name = f"oracle_quad_{key}_{degree}"
         yield name, ["oracle", cfgs[key], "--method", "quad", "--degree", str(degree),
                      "--out", path(name + ".csv")]
+    name = "compare_quad_pair_6"
+    yield name, ["compare", cfgs["pair"], "--method", "quad", "--degree", "6",
+                 "--out", path(name + ".csv")]
     for c in ("0.5", "1", "2.5", "-0.5"):
         name = f"fc_{c}"
         yield name, ["fc", "--c", c, "--out", path(name + ".csv")]
