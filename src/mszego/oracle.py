@@ -184,6 +184,22 @@ def _vander_accumulate(M, z, w, size):
     M += (V * w) @ V.conj().T
 
 
+def _angular_accumulate(M, r, w):
+    """Add the sum of z^p conj(z)^q w over z = r_i e^(2 pi i k / ntheta) to M.
+
+    ``w`` is the real ``(r.size, ntheta)`` weight with ntheta > 2n.  The
+    angular sums are one rfft per radius, W_i[m] = sum_k w_ik e^(i m
+    theta_k) = conj(rfft(w_i)[m]) and W_i[-m] = conj(W_i[m]), so
+    M[p, q] gains A[p + q, p - q + n] with A = (r_i^s) @ (W_i[m]).
+    """
+    n = M.shape[0] - 1
+    F = np.fft.rfft(w, axis=1)[:, :n + 1]
+    W = np.concatenate([F[:, ::-1], F[:, 1:].conj()], axis=1)   # m = -n .. n
+    A = (r ** np.arange(2 * n + 1)[:, None]) @ W
+    p = np.arange(n + 1)
+    M += A[p[:, None] + p[None, :], p[:, None] - p[None, :] + n]
+
+
 def _moments_mesh(config: Configuration, size, factor: int,
                   R_scale: float = 1.0) -> np.ndarray:
     """One full quadrature pass at a given mesh refinement factor."""
@@ -237,8 +253,8 @@ def _moments_mesh(config: Configuration, size, factor: int,
     wt = 2.0 * math.pi / ntheta
 
     M = np.zeros((size, size), dtype=complex)
-    # process in radial chunks to keep the node tensor in memory bounds
-    chunk = max(1, int(2e6 // ntheta))
+    # radial chunks of about 1e6 nodes bound the weight arrays
+    chunk = max(1, int(1e6 // ntheta))
     eit = np.exp(1j * theta)
     for i0 in range(0, r.size, chunk):
         rr = r[i0:i0 + chunk]
@@ -248,8 +264,12 @@ def _moments_mesh(config: Configuration, size, factor: int,
         for aj, cj in zip(config.a, config.c):
             w *= np.abs(z - aj) ** (2.0 * cj)
         if not all_integer:
-            w *= _suppression(z, config, radii)
-        _vander_accumulate(M, z.ravel(), w.ravel(), size)
+            # the cutoff is exactly 1.0 on rows farther than r_j from every |a_j|
+            near = np.zeros(rr.size, dtype=bool)
+            for aj, rj in zip(config.a, radii):
+                near |= np.abs(rr - abs(aj)) < rj
+            w[near] *= _suppression(z[near], config, radii)
+        _angular_accumulate(M, rr, w)
 
     if all_integer:
         return M
@@ -270,7 +290,10 @@ def _moments_mesh(config: Configuration, size, factor: int,
         for am, cm in zip(config.a, config.c):
             if am != aj:
                 w *= np.abs(z - am) ** (2.0 * cm)
-        _vander_accumulate(M, z.ravel(), w.ravel(), size)
+        # blocks of radial rows hold the Vandermonde near 1e6 entries
+        rows = max(1, int(1e6 // (size * nphi)))
+        for k0 in range(0, nodes, rows):
+            _vander_accumulate(M, z[k0:k0 + rows].ravel(), w[k0:k0 + rows].ravel(), size)
     return M
 
 
@@ -317,7 +340,8 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
 
     Solves sum_k b_k <z^k, z^m> = -<z^n, z^m> and forms the squared
     norm h_n in double-double.  Quadrature moments are good to about
-    1e-10 only, so a quadrature condition past 1e13 is refused.
+    1e-10 only, so a quadrature Gram matrix whose condition after
+    diagonal scaling passes 1e13 is refused.
     """
     if n + 1 > moments.size:
         raise ValueError(f"moment matrix of size {moments.size} cannot build degree {n}")
@@ -326,7 +350,9 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
         return MonicPolynomial(0, np.array([1.0 + 0j]), float(hi[0, 0].real), 1.0,
                                coeffs_lo=np.zeros(1, dtype=complex))
     if moments.method == "quadrature":
-        cond = float(np.linalg.cond(hi[:n, :n]))
+        # condition after diagonal scaling; the raw one mostly measures m!/N^m
+        d = np.sqrt(hi.diagonal()[:n].real)
+        cond = float(np.linalg.cond(hi[:n, :n] / np.outer(d, d)))
         if cond > 1e13:
             raise IllConditioned(
                 f"quadrature Gram solve at degree {n} has condition ~{cond:.2e}; "

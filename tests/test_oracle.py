@@ -131,6 +131,78 @@ def test_quadrature_tail_truncation(cfg_hand):
     assert moments_max_reldiff(A, B) < 1e-12
 
 
+def _main_grid_sums(a, c, n, ntheta):
+    """Main-grid moments of |z - a|^(2c) e^(-n|z|^2), three ways.
+
+    Returns the rfft sum, the Vandermonde sum and a long-double sum over
+    exact roots of unity.  The Vandermonde powers the rounded nodes
+    r e^(i theta), which costs it about one ulp of the Cauchy-Schwarz
+    scale on entries that vanish under the exact rule.
+    """
+    from mszego.oracle import _angular_accumulate, _vander_accumulate
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("long double is plain double here")
+    x, wx = np.polynomial.legendre.leggauss(40)
+    R = math.sqrt((2 * n + 40) / n)
+    r = 0.5 * R * (1.0 + x)
+    theta = 2 * math.pi * np.arange(ntheta) / ntheta
+    z = r[:, None] * np.exp(1j * theta)[None, :]
+    w = (0.5 * R * wx * r)[:, None] * np.exp(-n * r * r)[:, None] * np.abs(z - a) ** (2 * c)
+    fft = np.zeros((n + 1, n + 1), dtype=complex)
+    _angular_accumulate(fft, r, w)
+    vander = np.zeros_like(fft)
+    _vander_accumulate(vander, z.ravel(), w.ravel(), n + 1)
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    k = np.arange(ntheta, dtype=np.longdouble)
+    wl, rl = w.astype(np.longdouble), r.astype(np.longdouble)
+    exact = np.zeros_like(fft)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            ang = 2 * pi * (p - q) * k / ntheta
+            rs = rl ** (p + q)
+            exact[p, q] = complex(float(rs @ (wl @ np.cos(ang))),
+                                  float(rs @ (wl @ np.sin(ang))))
+    return fft, vander, exact
+
+
+@pytest.mark.parametrize("a, c, n, ntheta", [
+    # a complex point makes the weight asymmetric in theta, so a conjugated
+    # angular index would show
+    (0.3 + 0.4j, 0.5, 8, 256),
+    # the integer path's ntheta = 2n + 2C + 8 leaves the fewest spare harmonics
+    (0.5 - 0.5j, 1.0, 16, 2 * 16 + 2 * 2 + 8),
+])
+def test_angular_fft_matches_vandermonde(a, c, n, ntheta):
+    fft, vander, exact = _main_grid_sums(a, c, n, ntheta)
+    assert moments_max_reldiff(fft, exact) <= 1e-12
+    assert moments_max_reldiff(fft, vander) <= 1e-11
+
+
+def test_quadrature_rotation_covariance():
+    # rotating the point by alpha multiplies M[p, q] by e^(i (p - q) alpha)
+    alpha = 0.7
+    base = quad_moments(validate_config(Configuration(a=(0.6,), c=(0.5,), n=4, N=None)))
+    rot = quad_moments(validate_config(
+        Configuration(a=(0.6 * np.exp(1j * alpha),), c=(0.5,), n=4, N=None)))
+    k = np.arange(5)
+    phase = np.exp(1j * alpha * (k[:, None] - k[None, :]))
+    assert moments_max_reldiff(rot.entries, phase * base.entries) <= 1e-9
+
+
+def test_quadrature_memory_bound():
+    import tracemalloc
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc already running")
+    cfg = validate_config(Configuration(a=(0.6,), c=(0.5,), n=8, N=None))
+    tracemalloc.start()
+    try:
+        quad_moments(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2 ** 20
+
+
 def test_roots_simple_quadratic():
     poly = monic_from_coeffs([-1.0, 0.0, 1.0])
     rts, resid = roots(poly)
@@ -215,3 +287,13 @@ def test_ill_conditioned_double_path():
                       band=n)
     with pytest.raises(IllConditioned):
         monic_op(mm, n)
+
+
+def test_quadrature_guard_scaled_condition(cfg_pair):
+    # the raw Gram condition at n = N = 40 is 2.4e16, mostly the Gaussian scale
+    # m!/N^m; after diagonal scaling it is about 200 and the solve is sound
+    cfg = cfg_pair.replace_degree(40)
+    quad_roots, _ = roots(monic_op(quad_moments(cfg), 40))
+    exact_roots, _ = roots(monic_op(exact_moments(cfg), 40))
+    gap = np.abs(quad_roots[:, None] - exact_roots[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) < 1e-8

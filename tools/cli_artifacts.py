@@ -37,6 +37,8 @@ CONFIGS = {
                 "c": [0.5, 1.3, -0.4], "n": 20},
 }
 INTEGER = ("single", "pair", "level2", "level3")
+# the pair at n = N = 40, where the raw quadrature Gram condition is 2.4e16
+QUAD_ONLY = {"pair_n40": {**CONFIGS["pair"], "n": 40}}
 
 
 def commands(out: str, cfgs: dict[str, str]):
@@ -44,7 +46,8 @@ def commands(out: str, cfgs: dict[str, str]):
     def path(name):
         return os.path.join(out, name)
 
-    for key, cfg in cfgs.items():
+    for key in CONFIGS:
+        cfg = cfgs[key]
         yield f"levels_{key}", ["levels", cfg]
         for grid in (400, 801):
             name = f"curve_{key}_{grid}"
@@ -63,7 +66,7 @@ def commands(out: str, cfgs: dict[str, str]):
                      "--moments-out", path(name + "_moments.json")]
         name = f"oracle_{key}_40"
         yield name, ["oracle", cfg, "--degree", "40", "--out", path(name + ".csv")]
-    for key, degree in (("branchy", 3), ("pair", 6)):
+    for key, degree in (("branchy", 3), ("pair", 6), ("pair_n40", 40)):
         name = f"oracle_quad_{key}_{degree}"
         yield name, ["oracle", cfgs[key], "--method", "quad", "--degree", str(degree),
                      "--out", path(name + ".csv")]
@@ -84,7 +87,7 @@ def commands(out: str, cfgs: dict[str, str]):
 def run(out: str) -> None:
     os.makedirs(out, exist_ok=True)
     cfgs = {}
-    for key, doc in CONFIGS.items():
+    for key, doc in {**CONFIGS, **QUAD_ONLY}.items():
         cfgs[key] = os.path.join(out, f"config_{key}.json")
         with open(cfgs[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
