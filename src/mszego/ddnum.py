@@ -64,12 +64,8 @@ def add(x, y):
     return _quick_sum(s1, s2)
 
 
-def neg(x):
-    return -x[0], -x[1]
-
-
 def sub(x, y):
-    return add(x, neg(y))
+    return add(x, (-y[0], -y[1]))
 
 
 def conj(x):
@@ -172,10 +168,8 @@ def cholesky_solve_hermitian(A, rhs, band: int):
 
     ``A`` is a pair (hi, lo) of complex square arrays, ``rhs`` a pair of
     vectors; entries more than ``band`` off the diagonal are skipped.
-    Returns the solution pair and the diagonal of the Cholesky factor
-    (hi parts) for conditioning diagnostics.  Raises ArithmeticError on
-    a nonpositive pivot.  The loops run on Python scalars, faster here
-    than numpy's.
+    Returns the solution pair.  Raises ArithmeticError on a nonpositive
+    pivot.  The loops run on Python scalars, faster here than numpy's.
     """
     A_hi, A_lo = A[0].tolist(), A[1].tolist()
     rhs = list(zip(rhs[0].tolist(), rhs[1].tolist()))
@@ -211,4 +205,4 @@ def cholesky_solve_hermitian(A, rhs, band: int):
             acc = sub(acc, cmul(conj(L[t][i]), x[t]))
         x[i] = _by_parts(div, acc, diag[i])
     return (np.array([v[0] for v in x], dtype=complex),
-            np.array([v[1] for v in x], dtype=complex)), [d[0] for d in diag]
+            np.array([v[1] for v in x], dtype=complex))

@@ -4,9 +4,9 @@ The oracle never uses asymptotics: moments of the planar weight are
 computed either exactly (integer exponents, closed-form Gaussian
 moments) or by polar quadrature (any exponents), the monic polynomial
 comes from the Hermitian Gram solve, and roots from simultaneous
-Aberth-Ehrlich iteration.  Both moment methods carry moments and
-coefficients in double-double precision (``ddnum``) so that degrees past
-~20 keep usable orthogonality residuals.
+Aberth-Ehrlich iteration finished in double-double.  Both moment methods
+carry moments and coefficients in double-double precision (``ddnum``) so
+that degrees past ~20 keep usable orthogonality residuals.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ __all__ = [
 
 MAX_FACTORIAL = 170      # 171! overflows a double, so exact moments stop at 170!
 QUAD_TARGET = 1e-10      # mesh-doubling relative difference quad_moments must reach
-ABERTH_MAX_SWEEPS = 500
-ROOT_TOL = 1e-10         # accepted Newton step of a polished root, relative to 1 + |z|
+ABERTH_MAX_SWEEPS = 500     # per stage of roots
+ABERTH_STALL_SWEEPS = 12    # double-double sweeps without a new smallest largest step
+ROOT_TOL = 1e-10            # largest double-double Newton step of a root, over 1 + |z|
 
 
 class NonIntegerExponent(ConfigError):
@@ -58,7 +59,7 @@ class IllConditioned(Exception):
 
 
 class NoConvergence(Exception):
-    """The simultaneous root iteration exhausted its sweep budget."""
+    """A root's double-double Newton step stays above ROOT_TOL."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class MonicPolynomial:
     degree: int
     coeffs: np.ndarray             # ascending, length degree+1, leading 1
     h_n: float
-    cond_estimate: float           # (max/min Cholesky diagonal)^2 of the Gram matrix
+    cond_estimate: float           # cond(D^-1/2 H D^-1/2), H the Gram matrix, D = diag(H)
     coeffs_lo: np.ndarray          # low parts of the double-double coefficients
 
 
@@ -314,19 +315,17 @@ def quad_moments(config: Configuration) -> MomentMatrix:
     """Moment matrix by polar quadrature, validated by mesh doubling."""
     size = config.n + 1
     coarse = _moments_mesh(config, size, 1)
-    best = None
     for factor in (2, 4):
         fine = _moments_mesh(config, size, factor)
         err = moments_max_reldiff(coarse, fine)
         if err <= QUAD_TARGET:
-            best = fine
             break
         coarse = fine
-    if best is None:
+    else:
         raise QuadratureNotConverged(
             f"mesh doubling stalled at relative difference {err:.3e} "
             f"(target {QUAD_TARGET:.1e})")
-    best = 0.5 * (best + best.conj().T)
+    best = 0.5 * (fine + fine.conj().T)
     return MomentMatrix(entries=best, entries_lo=np.zeros_like(best),
                         method="quadrature", band=size - 1)
 
@@ -349,22 +348,23 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
     if n == 0:
         return MonicPolynomial(0, np.array([1.0 + 0j]), float(hi[0, 0].real), 1.0,
                                coeffs_lo=np.zeros(1, dtype=complex))
-    if moments.method == "quadrature":
-        # condition after diagonal scaling; the raw one mostly measures m!/N^m
-        d = np.sqrt(hi.diagonal()[:n].real)
-        cond = float(np.linalg.cond(hi[:n, :n] / np.outer(d, d)))
-        if cond > 1e13:
-            raise IllConditioned(
-                f"quadrature Gram solve at degree {n} has condition ~{cond:.2e}; "
-                "use the exact-moment path", cond)
+    # condition after diagonal scaling; the raw one mostly measures m!/N^m
+    d = hi.diagonal()[:n].real
+    cond = math.inf
+    if np.all(d > 0):
+        s = np.sqrt(d)
+        cond = float(np.linalg.cond(hi[:n, :n] / np.outer(s, s)))
+    if moments.method == "quadrature" and cond > 1e13:
+        raise IllConditioned(
+            f"quadrature Gram solve at degree {n} has condition ~{cond:.2e}; "
+            "use the exact-moment path", cond)
 
     A = (hi[:n, :n].T, lo[:n, :n].T)
     rhs = dd.scale((hi[n, :n], lo[n, :n]), dd.dd(-1.0))
     try:
-        x, diag = dd.cholesky_solve_hermitian(A, rhs, band=moments.band)
+        x = dd.cholesky_solve_hermitian(A, rhs, band=moments.band)
     except ArithmeticError as exc:
         raise IllConditioned(str(exc), math.inf) from exc
-    cond = (max(diag) / min(diag)) ** 2
     coeffs = (np.append(x[0], 1.0), np.append(x[1], 0.0))
     h = float(_column_dots(coeffs, moments, slice(n, n + 1))[0].real)
     if not (h > 0):
@@ -404,18 +404,41 @@ def orthogonality_residuals(moments: MomentMatrix, poly: MonicPolynomial) -> np.
 # roots
 
 
-def roots(poly: MonicPolynomial):
-    """All roots by Aberth-Ehrlich iteration with double-double polish.
+def _aberth(z, newton, done):
+    """Aberth-Ehrlich sweeps on all the points z at once.
 
-    Returns (roots, residuals) where residuals are Newton steps scaled
-    by 1 + |root|; for (near-)multiple roots the backward-error
-    criterion |p(r)| <= 1e-12 * sum(|b_k| |r|^k) applies instead.
+    ``newton(z)`` gives (p(z), p'(z)); the sweeps end after the one in
+    which ``done(z, p, corr)`` holds, or after ABERTH_MAX_SWEEPS.
+    """
+    off = np.eye(z.size)
+    for _ in range(ABERTH_MAX_SWEEPS):
+        p, q = newton(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(q != 0, p / q, 0.0)
+            S = np.sum(1.0 / (z[:, None] - z[None, :] + off), axis=1) - 1.0
+            corr = w / (1.0 - w * S)
+        corr = np.where(np.isfinite(corr), corr, 0.1 * (1 + np.abs(z)))
+        z, stop = z - corr, done(z, p, corr)
+        if stop:
+            break
+    return z
+
+
+def roots(poly: MonicPolynomial):
+    """All roots by Aberth-Ehrlich iteration, finished in double-double.
+
+    A double stage runs until every |p(z)| is down to the rounding level
+    of its evaluation, then a double-double stage until every correction
+    is below 4 eps (1 + |z|) or the largest has set no new minimum for
+    ABERTH_STALL_SWEEPS sweeps.  Returns (roots, residuals), the
+    residuals being double-double Newton steps |p/p'| / (1 + |root|),
+    which estimate the forward error.  Raises NoConvergence if one is
+    above ROOT_TOL.
     """
     n = poly.degree
     if n < 1:
         raise ValueError("degree must be >= 1")
-    b = poly.coeffs.astype(complex)
-    db = b[1:] * np.arange(1, n + 1)
+    b, eps = poly.coeffs, np.finfo(float).eps
 
     # Fujiwara-style initial radius around the coefficient centroid
     center = -b[n - 1] / n
@@ -424,51 +447,33 @@ def roots(poly: MonicPolynomial):
     angles = 2.0 * math.pi * (np.arange(n) + 0.35) / n + 0.42
     z = center + radius * np.exp(1j * angles)
 
-    def horner_all(zv):
-        p = np.full_like(zv, b[n])
-        for k in range(n - 1, -1, -1):
-            p = p * zv + b[k]
-        q = np.full_like(zv, db[n - 1])
-        for k in range(n - 2, -1, -1):
-            q = q * zv + db[k]
-        return p, q
+    desc, ddesc = b[::-1], (b[1:] * np.arange(1, n + 1))[::-1]
+    z = _aberth(z, lambda z: (np.polyval(desc, z), np.polyval(ddesc, z)),
+                lambda z, p, corr: np.all(np.abs(p) <= 8 * (n + 1) * eps
+                                          * np.polyval(np.abs(desc), np.abs(z))))
 
-    converged = False
-    for _ in range(ABERTH_MAX_SWEEPS):
-        p, q = horner_all(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(q != 0, p / q, 0.0)
-            S = np.sum(1.0 / (z[:, None] - z[None, :] + np.eye(n)), axis=1) - 1.0
-            corr = w / (1.0 - w * S)
-        corr = np.where(np.isfinite(corr), corr, 0.1 * (1 + np.abs(z)))
-        z = z - corr
-        if np.all(np.abs(corr) <= 1e-14 * (1.0 + np.abs(z))):
-            converged = True
-            break
+    dcoeffs = dd.scale((b[1:], poly.coeffs_lo[1:]), dd.dd(np.arange(1.0, n + 1)))
 
-    # double-double Newton polish (simple roots gain ~6 digits); the step stays
-    # in Python complex arithmetic, whose division differs from numpy's
-    coeffs = (poly.coeffs, poly.coeffs_lo)
-    dcoeffs = dd.scale(coeffs, dd.dd(np.arange(n + 1, dtype=float)))
-    dcoeffs = (dcoeffs[0][1:], dcoeffs[1][1:])
-    for _ in range(2):
-        pv = dd.value(dd.horner(coeffs, z)).tolist()
-        qv = dd.value(dd.horner(dcoeffs, z)).tolist()
-        for i in range(n):
-            if qv[i] != 0 and abs(pv[i] / qv[i]) < 0.1:
-                z[i] = z[i] - pv[i] / qv[i]
+    def dd_newton(z):
+        return poly_eval(poly, z), dd.value(dd.horner(dcoeffs, z))
 
-    pv = poly_eval(poly, z)
-    qv = horner_all(z)[1]
+    steps = []   # the largest relative correction of each double-double sweep
+
+    def settled(z, p, corr):
+        steps.append(np.max(np.abs(corr) / (1.0 + np.abs(z))))
+        return (steps[-1] <= 4 * eps
+                or len(steps) - 1 - np.argmin(steps) >= ABERTH_STALL_SWEEPS)
+
+    z = _aberth(z, dd_newton, settled)
+    p, q = dd_newton(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        newton_resid = np.where(qv != 0, np.abs(pv / qv), np.inf) / (1.0 + np.abs(z))
-    backward_scale = np.array(
-        [np.sum(np.abs(b) * np.abs(zi) ** np.arange(n + 1)) for zi in z])
-    ok = (newton_resid <= ROOT_TOL) | (np.abs(pv) <= 1e-12 * backward_scale)
-    if not (converged or np.all(ok)):
-        raise NoConvergence(f"{int(np.sum(~ok))} roots failed to converge")
+        resid = np.where(p == 0, 0.0, np.abs(p / q)) / (1.0 + np.abs(z))
+    bad = ~(resid <= ROOT_TOL)
+    if np.any(bad):
+        raise NoConvergence(f"{np.sum(bad)} of {n} roots keep a Newton step above "
+                            f"{ROOT_TOL:.0e} (largest {np.max(resid):.1e})")
     order = np.lexsort((z.imag, z.real))
-    return z[order], np.minimum(newton_resid, np.abs(pv) / backward_scale)[order]
+    return z[order], resid[order]
 
 
 # ---------------------------------------------------------------------------

@@ -84,11 +84,10 @@ def test_cholesky_solve_small():
     # hermitian positive definite 2x2 with a complex off-diagonal
     An = np.array([[2.0, 0.5 + 0.25j], [0.5 - 0.25j, 1.5]])
     rhs = np.array([1.0, -1j])
-    x, diag = dd.cholesky_solve_hermitian(dd.dd(An), dd.dd(rhs), band=1)
+    x = dd.cholesky_solve_hermitian(dd.dd(An), dd.dd(rhs), band=1)
     want = np.linalg.solve(An, rhs)
     got = dd.value(x)
     assert np.max(np.abs(got - want)) < 1e-14
-    assert all(d > 0 for d in diag)
 
 
 # signed zeros are drawn often: a zero's sign is the bit two paths most

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ from scipy.integrate import quad
 from scipy.special import i0e
 
 from mszego.core import Configuration, validate_config
-from mszego.oracle import (IllConditioned, MomentMatrix,
+from mszego.oracle import (IllConditioned, MomentMatrix, NoConvergence,
                            NonIntegerExponent, exact_moments,
                            moments_max_reldiff, monic_op,
                            orthogonality_residuals, poly_eval, quad_moments,
@@ -213,7 +216,7 @@ def test_roots_simple_quadratic():
 def test_roots_triple_zero():
     poly = monic_from_coeffs([0.0, 0.0, 0.0, 1.0])
     rts, _ = roots(poly)
-    assert np.max(np.abs(rts)) < 1e-4  # backward-error criterion
+    assert np.max(np.abs(rts)) < 1e-4
 
 
 def monic_from_coeffs(coeffs):
@@ -221,6 +224,45 @@ def monic_from_coeffs(coeffs):
     arr = np.array(coeffs, dtype=complex)
     return MonicPolynomial(len(arr) - 1, arr, 1.0, 1.0,
                            coeffs_lo=np.zeros_like(arr))
+
+
+def _reference():
+    """perfbench/reference.py, the mpmath references that never import mszego."""
+    pytest.importorskip("mpmath")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference.py")
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    ref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ref)
+    return ref
+
+
+@pytest.mark.parametrize("a, c", [
+    ((0.5 - 0.5j, -0.25 - 0.5j), (1, 1)),                        # FIG4
+    ((0.69 - 0.18j, 0.29 - 0.2j, 0.17 - 0.05j), (1, 1, 1)),      # cfg_level3
+])
+def test_roots_against_mpmath(a, c):
+    # n = N = 96 is past the degree where a double-precision Aberth iteration
+    # leaves FIG4 roots 1e-2 off; the residuals must see what mpmath sees
+    ref = _reference()
+    n = 96
+    cfg = validate_config(Configuration(a=a, c=tuple(map(float, c)), n=n, N=None))
+    rts, resid = roots(monic_op(exact_moments(cfg), n))
+    truth = ref.FixedPointPoly(ref.monic_poly(ref.exact_moments(a, c, n, n), n,
+                                              band=sum(c)))
+    steps = truth.newton_steps(rts)
+    assert len(rts) == n
+    assert steps.max() <= 1e-12
+    assert resid.max() >= 0.25 * steps.max()
+
+
+def test_roots_refuse_at_dd_coefficient_floor():
+    # at n = N = 128 the double-double coefficients hold FIG4's roots to about
+    # 1e-10 only, so some Newton steps stay above ROOT_TOL
+    cfg = validate_config(Configuration(a=(0.5 - 0.5j, -0.25 - 0.5j), c=(1.0, 1.0),
+                                        n=128, N=None))
+    poly = monic_op(exact_moments(cfg), 128)
+    with pytest.raises(NoConvergence):
+        roots(poly)
 
 
 def test_roots_vieta(cfg_pair):
@@ -287,6 +329,29 @@ def test_ill_conditioned_double_path():
                       band=n)
     with pytest.raises(IllConditioned):
         monic_op(mm, n)
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.0, 2j, 0.0], [-2j, 1.0, 0.0], [0.0, 0.0, 1.0]],      # positive diagonal
+    [[1.0, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 1.0]],    # negative diagonal
+])
+def test_indefinite_exact_gram_refused(entries):
+    # the Cholesky meets a nonpositive pivot; no NaN comes out of the condition
+    M = np.array(entries, dtype=complex)
+    mm = MomentMatrix(entries=M, entries_lo=np.zeros_like(M),
+                      method="exact-integer-c", band=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditioned) as exc:
+            monic_op(mm, 2)
+    assert exc.value.cond_estimate == math.inf
+
+
+def test_cond_estimate_is_diagonally_scaled(cfg_pair):
+    # the unscaled (max/min Cholesky diagonal)^2 read 1.1e12 at n = N = 32,
+    # mostly the Gaussian scale m!/N^m of the moments
+    p = monic_op(exact_moments(cfg_pair.replace_degree(32)), 32)
+    assert 100 < p.cond_estimate < 300
 
 
 def test_quadrature_guard_scaled_condition(cfg_pair):

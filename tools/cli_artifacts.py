@@ -37,8 +37,10 @@ CONFIGS = {
                 "c": [0.5, 1.3, -0.4], "n": 20},
 }
 INTEGER = ("single", "pair", "level2", "level3")
-# the pair at n = N = 40, where the raw quadrature Gram condition is 2.4e16
-QUAD_ONLY = {"pair_n40": {**CONFIGS["pair"], "n": 40}}
+# the pair at n = N: at 40 the raw quadrature Gram condition is 2.4e16; at 128
+# the double-double coefficients hold the roots to about 1e-10 only, so
+# `oracle` refuses them (exit 4)
+LARGE_N = {f"pair_n{n}": {**CONFIGS["pair"], "n": n} for n in (40, 96, 128)}
 
 
 def commands(out: str, cfgs: dict[str, str]):
@@ -66,6 +68,9 @@ def commands(out: str, cfgs: dict[str, str]):
                      "--moments-out", path(name + "_moments.json")]
         name = f"oracle_{key}_40"
         yield name, ["oracle", cfg, "--degree", "40", "--out", path(name + ".csv")]
+    for key in ("pair_n96", "pair_n128"):
+        name = f"oracle_{key}"
+        yield name, ["oracle", cfgs[key], "--out", path(name + ".csv")]
     for key, degree in (("branchy", 3), ("pair", 6), ("pair_n40", 40)):
         name = f"oracle_quad_{key}_{degree}"
         yield name, ["oracle", cfgs[key], "--method", "quad", "--degree", str(degree),
@@ -87,7 +92,7 @@ def commands(out: str, cfgs: dict[str, str]):
 def run(out: str) -> None:
     os.makedirs(out, exist_ok=True)
     cfgs = {}
-    for key, doc in {**CONFIGS, **QUAD_ONLY}.items():
+    for key, doc in {**CONFIGS, **LARGE_N}.items():
         cfgs[key] = os.path.join(out, f"config_{key}.json")
         with open(cfgs[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
