@@ -40,7 +40,7 @@ __all__ = [
 MAX_FACTORIAL = 170      # 171! overflows a double, so exact moments stop at 170!
 QUAD_TARGET = 1e-10      # mesh-doubling relative difference quad_moments must reach
 ABERTH_MAX_SWEEPS = 500     # per stage of roots
-ABERTH_STALL_SWEEPS = 12    # double-double sweeps without a new smallest largest step
+ABERTH_STALL_SWEEPS = 12    # sweeps the double-double stage may stall for
 ROOT_TOL = 1e-10            # largest double-double Newton step of a root, over 1 + |z|
 
 
