@@ -19,12 +19,16 @@ from scipy.special import gamma as _gamma
 from .branches import BranchContext
 from .core import Configuration
 from .specfun import FcEvaluator
-from .szego import NonGeneric, SzegoStructure, classify, solve_structure
+from .szego import SzegoStructure, classify, solve_structure
 
-__all__ = ["AsymptoticModel", "build_model", "chain_constant"]
+__all__ = ["AsymptoticModel", "ChainConstantOutOfRange", "build_model", "chain_constant"]
 
 DISK_RADIUS_FACTOR = 0.3
 DEFAULT_TAU = 40.0
+
+
+class ChainConstantOutOfRange(ArithmeticError):
+    """A chain constant is zero or not finite in double precision."""
 
 
 @dataclass(frozen=True)
@@ -46,18 +50,19 @@ class AsymptoticModel:
     def N(self) -> float:
         return self.config.N
 
-    def E_factor(self, z: complex, j: int) -> complex:
-        """exp(N (conj(a_j) z + ell_j)), the plane-wave factor of region j."""
-        aj = self.config.a[j - 1]
-        return cmath.exp(self.N * (aj.conjugate() * z + self.structure.ell[j - 1]))
-
     def classify(self, z: complex) -> int:
         return classify(z, self.structure)
 
     # -- regional terms -----------------------------------------------------
 
-    def term(self, z: complex, label: int) -> complex:
-        """The label's closed form, evaluable wherever its own cuts allow."""
+    def eval_region(self, z: complex, label: int | None = None) -> complex:
+        """The label's closed form, evaluable wherever its own cuts allow.
+
+        The label defaults to classify(z).  A bounded region j carries the
+        plane wave exp(N (conj(a_j) z + ell_j)).
+        """
+        if label is None:
+            label = self.classify(z)
         if label == 0:
             out = complex(z) ** self.n
             for j in range(1, self.config.nu + 1):
@@ -69,13 +74,8 @@ class AsymptoticModel:
         for i in range(1, self.config.nu + 1):
             if i != j:
                 denom *= self.branch.pow_a_Bk(z, i, j)
-        return -self.E_factor(z, j) * self.chain_const[j - 1] / denom
-
-    def eval_region(self, z: complex, label: int | None = None) -> complex:
-        """Single-region leading form; the label defaults to classify(z)."""
-        if label is None:
-            label = self.classify(z)
-        return self.term(z, label)
+        wave = cmath.exp(self.N * (aj.conjugate() * z + self.structure.ell[j - 1]))
+        return -wave * self.chain_const[j - 1] / denom
 
     def eval_uniform(self, z: complex, tau: float = DEFAULT_TAU) -> complex:
         """Sum of all terms within exp(-tau) of the dominant one.
@@ -84,7 +84,7 @@ class AsymptoticModel:
         interface exactly the two interface terms survive the cut, deep
         inside a region only its own term does.
         """
-        terms = [self.term(z, lab) for lab in range(self.config.nu + 1)]
+        terms = [self.eval_region(z, lab) for lab in range(self.config.nu + 1)]
         top = max(abs(t) for t in terms)
         if top == 0.0:
             return 0.0 + 0j
@@ -137,7 +137,7 @@ class AsymptoticModel:
                 return 0.0 + 0j
             raise ValueError(
                 f"the local form diverges at a_{j} for negative exponents")
-        A = self.term(z, k)
+        A = self.eval_region(z, k)
         return A * zeta ** cj * cmath.exp(-zeta) * self.fc[j - 1].entire(zeta)
 
     def disk_radius(self, j: int) -> float:
@@ -181,13 +181,17 @@ def build_model(config: Configuration,
                 branch: BranchContext | None = None) -> AsymptoticModel:
     if structure is None:
         structure = solve_structure(config)
-    if not structure.is_generic:
-        raise NonGeneric("asymptotic formulas require a generic configuration",
-                         {"generic": structure.generic})
     if branch is None:
         branch = BranchContext(config)
-    consts = tuple(chain_constant(config, structure, branch, j)
-                   for j in range(1, config.nu + 1))
+    try:
+        consts = tuple(chain_constant(config, structure, branch, j)
+                       for j in range(1, config.nu + 1))
+    except OverflowError as exc:
+        raise ChainConstantOutOfRange(f"a chain constant overflows: {exc}") from exc
+    for j, v in enumerate(consts, start=1):
+        if v == 0 or not cmath.isfinite(v):
+            raise ChainConstantOutOfRange(
+                f"chain constant {j} is {v}, outside the double range")
     fcs = tuple(FcEvaluator(cj) for cj in config.c)
     radii = []
     for j, aj in enumerate(config.a, start=1):

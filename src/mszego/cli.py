@@ -30,9 +30,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .asym import build_model
+from .asym import ChainConstantOutOfRange, build_model
 from .branches import OnCut
-from .core import ConfigError, load_config
+from .core import MAX_EXPONENT, ConfigError, load_config
 from .oracle import (IllConditioned, NoConvergence, QuadratureNotConverged,
                      exact_moments, monic_op, orthogonality_residuals,
                      quad_moments, root_curve_distance, roots, poly_eval)
@@ -119,6 +119,14 @@ def _require_positive(flag: str, value: float) -> None:
         raise ConfigError(f"{flag} must be positive, got {value}")
 
 
+def _exponent(args) -> float:
+    """The --c flag: finite and at most MAX_EXPONENT."""
+    _require_finite("--c", args.c)
+    if args.c > MAX_EXPONENT:
+        raise ConfigError(f"--c must be <= {MAX_EXPONENT:g}, got {args.c}")
+    return args.c
+
+
 def _grid(args) -> int:
     """The --grid flag; a negative count is refused."""
     if args.grid < 0:
@@ -156,8 +164,6 @@ def cmd_levels(args) -> list[str]:
         "chains": [list(ch) for ch in structure.chains],
         "levels": list(structure.levels),
         "chain_constants": [_json_complex(v) for v in model.chain_const],
-        "generic": list(structure.generic),
-        "empty_regions": list(structure.empty_regions),
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
@@ -231,9 +237,9 @@ def cmd_asymp(args) -> list[str]:
 
 
 def cmd_fc(args) -> list[str]:
-    _require_finite("--c", args.c)
+    c = _exponent(args)
     _require_finite("--extent", args.extent)
-    ev = FcEvaluator(args.c)
+    ev = FcEvaluator(c)
     xs = np.linspace(-args.extent, args.extent, _grid(args))
     rows = []
     for x in xs:
@@ -249,11 +255,14 @@ def cmd_fc(args) -> list[str]:
 
 
 def cmd_fc_zeros(args) -> list[str]:
-    _require_finite("--c", args.c)
+    c = _exponent(args)
     _require_finite("--box", *args.box)
+    x0, x1, y0, y1 = args.box
+    if not (x0 < x1 and y0 < y1):
+        raise ConfigError(f"--box needs X0 < X1 and Y0 < Y1, got {args.box}")
     _require_positive("--tol", args.tol)
-    ev = FcEvaluator(args.c)
-    zs = zeros_E_c(args.c, tuple(args.box), tol=args.tol)
+    ev = FcEvaluator(c)
+    zs = zeros_E_c(c, tuple(args.box), tol=args.tol)
     rows = [(float(z.real), float(z.imag), float(abs(ev.entire(z)))) for z in zs]
     _write_csv(args.out, ["re", "im", "abs_Ec"], rows)
     print(f"{len(zs)} zeros in box {args.box}")
@@ -423,7 +432,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         return EXIT_NON_GENERIC
     except (QuadratureNotConverged, IllConditioned, NoConvergence,
-            ContourThroughZero, DegenerateArc, OnCut) as exc:
+            ContourThroughZero, DegenerateArc, OnCut, ChainConstantOutOfRange) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if outputs:

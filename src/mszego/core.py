@@ -25,6 +25,7 @@ __all__ = [
     "DuplicatePoint",
     "CollinearTriple",
     "BadExponent",
+    "MAX_EXPONENT",
     "validate_config",
     "config_from_json",
     "config_to_json",
@@ -34,6 +35,8 @@ __all__ = [
 COLLINEAR_TOL = 1e-10
 # Two singular points closer than this are considered duplicates.
 DUPLICATE_TOL = 1e-12
+# Largest exponent: past it Gamma(c + 1) leaves the double range.
+MAX_EXPONENT = 170.0
 
 
 class ConfigError(ValueError):
@@ -57,7 +60,7 @@ class CollinearTriple(ConfigError):
 
 
 class BadExponent(ConfigError):
-    """Some exponent is <= -1 or exactly 0."""
+    """Some exponent is <= -1, exactly 0 or above MAX_EXPONENT."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,7 @@ class Configuration:
     the invariants below are guaranteed:
 
     * every ``|a_j| < 1`` and ``a_j != 0``, pairwise distinct,
-    * every ``c_j > -1`` and ``c_j != 0``,
+    * every ``-1 < c_j <= MAX_EXPONENT`` and ``c_j != 0``,
     * no three of ``{0, a_1, ..., a_nu}`` collinear,
     * ``n >= 0`` integer, ``N > 0`` (defaulted to ``n`` when absent).
     """
@@ -130,6 +133,8 @@ def validate_config(raw: Configuration) -> Configuration:
             raise BadExponent(f"c[{j}]={x} must be > -1")
         if x == 0.0:
             raise BadExponent(f"c[{j}] is zero")
+        if x > MAX_EXPONENT:
+            raise BadExponent(f"c[{j}]={x} exceeds {MAX_EXPONENT:g}")
 
     pts = (0j,) + a
     m = len(pts)

@@ -95,12 +95,6 @@ class SzegoStructure:
     ell: tuple[complex, ...]
     chains: tuple[tuple[int, ...], ...]   # chains[j-1] = (j, ..., k_1), implicit 0 at the end
     levels: tuple[int, ...]
-    generic: tuple[bool, ...]
-    empty_regions: tuple[int, ...] = ()
-
-    @property
-    def is_generic(self) -> bool:
-        return all(self.generic) and not self.empty_regions
 
     def arrow(self, j: int) -> int:
         """The label k of the neighboring region at a_j (0 allowed)."""
@@ -264,7 +258,7 @@ def _genericity_flags(config: Configuration, L, chains):
 
 
 def _empty_regions(config: Configuration, L):
-    """Labels never attained on a coarse scan grid (empty-region report)."""
+    """Labels never attained on a coarse scan grid, for the NonGeneric report."""
     xs = np.linspace(-1.0, 1.0, EMPTY_SCAN_GRID)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     labels = classify_many(X + 1j * Y, config, L)
@@ -277,32 +271,26 @@ def solve_structure(config: Configuration) -> SzegoStructure:
 
     Raises :class:`NonGeneric`, with the empty regions in its report,
     when some singular point does not sit between exactly two regions.
+    Once every circle test holds, each label j is seen around a_j, so
+    a returned structure has no empty region.
     """
     L = solve_levels(config)
-    empty = _empty_regions(config, L)
     try:
         chains, levels = compute_chains(config, L)
+        generic = _genericity_flags(config, L, chains)
+        if not all(generic):
+            raise NonGeneric(f"configuration is non-generic: generic={generic}",
+                             {"L": tuple(L), "generic": generic})
     except NonGeneric as exc:
-        exc.report.setdefault("empty_regions", empty)
+        exc.report["empty_regions"] = _empty_regions(config, L)
         raise
-    generic = _genericity_flags(config, L, chains)
-    if empty:
-        generic = tuple(g and (j + 1 not in empty) for j, g in enumerate(generic))
-    struct = SzegoStructure(
+    return SzegoStructure(
         config=config,
         L=tuple(L),
         ell=compute_ell(config, chains),
         chains=chains,
         levels=levels,
-        generic=generic,
-        empty_regions=empty,
     )
-    if not struct.is_generic:
-        raise NonGeneric(
-            f"configuration is non-generic: generic={generic}, empty={empty}",
-            {"L": tuple(L), "generic": generic, "empty_regions": empty},
-        )
-    return struct
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +301,9 @@ def _bisect_edges(config, L, z1, z2, lab1, lab2, tol):
     """Vectorized bisection of label-changing lattice edges.
 
     A midpoint showing a third label replaces the far endpoint, so each
-    edge converges to some label interface crossing within it.
+    edge converges to some label interface crossing within it.  The
+    arrays are updated in place.
     """
-    z1 = z1.copy()
-    z2 = z2.copy()
-    lab1 = lab1.copy()
-    lab2 = lab2.copy()
     while np.max(np.abs(z2 - z1)) > tol:
         zm = 0.5 * (z1 + z2)
         lm = classify_many(zm, config, L)
@@ -362,8 +347,7 @@ def trace_curve(structure: SzegoStructure, grid: int = 400, tol: float = 1e-8) -
         if len(ii) == 0:
             continue
         pts, l1, l2 = _bisect_edges(
-            config, L, za[ii, jj].astype(complex), zb[ii, jj].astype(complex),
-            la[ii, jj], lb[ii, jj], tol,
+            config, L, za[ii, jj], zb[ii, jj], la[ii, jj], lb[ii, jj], tol,
         )
         for idx in range(len(ii)):
             crossings[(key, int(ii[idx]), int(jj[idx]))] = (
@@ -407,7 +391,7 @@ def trace_curve(structure: SzegoStructure, grid: int = 400, tol: float = 1e-8) -
                     segments.append((keys[1], keys[2], pair))
             # a single key happens at triple-point cells: the arc ends here
 
-    arcs = _assemble_arcs(crossings, segments, structure, tol)
+    arcs = _assemble_arcs(crossings, segments, config.a)
     if not arcs:
         raise DegenerateArc("no arcs extracted; raise the grid resolution")
     missing = set(range(1, config.nu + 1)) - {lab for a in arcs for lab in (a.j, a.k)}
@@ -425,7 +409,7 @@ def trace_curve(structure: SzegoStructure, grid: int = 400, tol: float = 1e-8) -
     return CurveSet(arcs=tuple(arcs), triple_points=tuple(triple_cells))
 
 
-def _assemble_arcs(crossings, segments, structure, tol):
+def _assemble_arcs(crossings, segments, a):
     adjacency: dict[tuple, list] = {}
     for ka, kb, pair in segments:
         adjacency.setdefault((pair, ka), []).append(kb)
@@ -455,34 +439,22 @@ def _assemble_arcs(crossings, segments, structure, tol):
     arcs = []
     for pair, path in polylines:
         pts = np.array([crossings[k][0] for k in path], dtype=complex)
-        pts = _oriented(pts, pair, structure, tol)
+        pts = _oriented(pts, pair, a)
         arcs.append(Arc(j=pair[0], k=pair[1], points=pts))
     arcs.sort(key=lambda a: (a.j, a.k, a.points[0].real, a.points[0].imag))
     return arcs
 
 
-def _oriented(pts, pair, structure, tol):
+def _oriented(pts, pair, a):
     """Order arc points so that region pair[0] sits on the left side.
 
-    Probes both normal sides of a few interior segments.  The offset
-    scales with the segment length: chord midpoints sit off the true
-    curve by the sagitta (quadratic in the step), so a fixed tiny
-    offset would sample the same region on both sides.
+    Each plane has a closed-form gradient: ``1/conj(z)`` for label 0 and
+    ``a_i`` for label i.  Region pair[0] is on the left when
+    ``phi_pair[0] - phi_pair[1]`` grows along the left normal ``i*dp``
+    of the steps, summed over the arc.
     """
-    alpha, beta = pair
-    votes = 0
-    m = len(pts)
-    for i in range(0, m - 1, max(1, (m - 1) // 7)):
-        d = pts[i + 1] - pts[i]
-        if d == 0:
-            continue
-        nrm = 1j * d / abs(d)
-        delta = 0.5 * abs(d)
-        mid = 0.5 * (pts[i] + pts[i + 1])
-        left = classify(mid + delta * nrm, structure)
-        right = classify(mid - delta * nrm, structure)
-        if left == alpha and right == beta:
-            votes += 1
-        elif left == beta and right == alpha:
-            votes -= 1
-    return pts if votes >= 0 else pts[::-1].copy()
+    d = np.diff(pts)
+    mid = 0.5 * (pts[1:] + pts[:-1])
+    grad = [1.0 / np.conj(mid) if lab == 0 else a[lab - 1] for lab in pair]
+    rise = np.sum((np.conj(1j * d) * (grad[0] - grad[1])).real)
+    return pts if rise >= 0 else pts[::-1].copy()

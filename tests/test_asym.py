@@ -173,8 +173,8 @@ def test_uniform_keeps_two_terms_on_interface(cfg_single, model_single):
     st = model_single.structure
     curve = trace_curve(st, grid=200, tol=1e-8)
     p = complex(curve.arcs[0].points[17])
-    t0 = model_single.term(p, 0)
-    t1 = model_single.term(p, 1)
+    t0 = model_single.eval_region(p, 0)
+    t1 = model_single.eval_region(p, 1)
     assert abs(math.log(abs(t0 / t1))) < 40.0  # comparable moduli
     assert abs(model_single.eval_uniform(p) - (t0 + t1)) < 1e-12 * abs(t0)
 
@@ -189,8 +189,8 @@ def test_uniform_zero_spacing_halves():
         upper = pts[pts.imag > 0.05]
         args = []
         for z in upper:
-            args.append(cmath.phase(model.term(complex(z), 1)
-                                    / model.term(complex(z), 0)))
+            args.append(cmath.phase(model.eval_region(complex(z), 1)
+                                    / model.eval_region(complex(z), 0)))
         arr = np.unwrap(np.array(args))
         return abs(arr[-1] - arr[0]) / (2 * math.pi)
     c16, c32 = crossings(16), crossings(32)
@@ -252,7 +252,7 @@ def test_local_matching_inward_shrinks_with_n(cfg_level2_frac):
                 zeta = rad * cmath.exp(1j * math.radians(deg))
                 z = model.zeta_inverse(zeta, 2)
                 worst = max(worst, abs(model.eval_local(z, 2)
-                                       / model.term(z, 2) - 1))
+                                       / model.eval_region(z, 2) - 1))
         return worst
     w200, w800 = worst_at(200), worst_at(800)
     assert w200 < 0.2

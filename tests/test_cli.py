@@ -6,7 +6,7 @@ import pytest
 
 from mszego.cli import main
 
-from conftest import A1, NON_GENERIC_A
+from conftest import A1, NON_GENERIC_A, THIN_REGION_A
 
 
 @pytest.fixture()
@@ -45,13 +45,28 @@ def test_non_generic_exit_code(tmp_path):
     assert main(["levels", str(p)]) == 3
 
 
+def test_thin_region_levels(tmp_path):
+    p = tmp_path / "thin.json"
+    p.write_text(json.dumps({"a": [[z.real, z.imag] for z in THIN_REGION_A],
+                             "c": [1.0, 1.0, 1.0], "n": 20}))
+    assert main(["levels", str(p)]) == 0
+
+
+def test_chain_constant_out_of_range_exit_code(tmp_path, capsys):
+    # Gamma(100) (1 - |a|^2)^(-99) overflows, so the constant would read 0
+    p = tmp_path / "edge.json"
+    p.write_text(json.dumps({"a": [[0.995, 0.0]], "c": [100.0], "n": 16}))
+    assert main(["levels", str(p)]) == 4
+    assert "ChainConstantOutOfRange" in capsys.readouterr().err
+
+
 def test_levels_json(single_cfg_path, capsys):
     assert main(["levels", single_cfg_path]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["L"][0] == pytest.approx(math.log(A1) - 0.5, abs=1e-12)
     assert doc["chains"] == [[1]]
     assert doc["levels"] == [1]
-    assert doc["generic"] == [True]
+    assert set(doc) == {"L", "ell", "chains", "levels", "chain_constants"}
     assert doc["chain_constants"][0][0] == pytest.approx(A1, abs=1e-12)
 
 
@@ -228,6 +243,14 @@ def test_levels_manifest_beside_out(single_cfg_path, tmp_path):
     "compare {cfg} --grid -3 --out {out}",
     "asymp {cfg} --grid -3 --out {out}",
     "fc --c 1 --grid -3 --out {out}",
+    "fc-zeros --c 1 --box 1 -1 5 8 --out {out}",
+    "fc-zeros --c 1 --box 1 -1 8 5 --out {out}",
+    "fc --c 1e300 --out {out}",
+    "fc-zeros --c 1e300 --box -0.5 1 5 8 --out {out}",
+    "fc --c 1000 --out {out}",
+    "levels {c1000}",
+    "asymp {c1000} --out {out}",
+    "levels {c200}",
 ])
 def test_bad_input_exit_code(argv, single_cfg_path, tmp_path, capsys):
     text = open(single_cfg_path).read()
@@ -237,9 +260,13 @@ def test_bad_input_exit_code(argv, single_cfg_path, tmp_path, capsys):
     bad_points.write_text("re,im\n0.2,0.1\n0.3,x\n")
     nan_points = tmp_path / "nan_points.csv"
     nan_points.write_text("re,im\n0.2,0.1\nnan,0.1\n")
+    c1000 = tmp_path / "c1000.json"
+    c1000.write_text(json.dumps({"a": [[A1, 0.0]], "c": [1000.0], "n": 16}))
+    c200 = tmp_path / "c200.json"
+    c200.write_text(json.dumps({"a": [[0.5, -0.5]], "c": [200.0], "n": 16}))
     paths = {"cfg": single_cfg_path, "out": str(tmp_path / "out.csv"),
              "missing": str(tmp_path / "missing.json"),
              "truncated": str(truncated), "bad_points": str(bad_points),
-             "nan_points": str(nan_points)}
+             "nan_points": str(nan_points), "c1000": str(c1000), "c200": str(c200)}
     assert main(argv.format(**paths).split()) == 2
     assert capsys.readouterr().err.startswith("invalid configuration")

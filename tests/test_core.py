@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from mszego.core import (BadExponent, CollinearTriple, ConfigError,
+from mszego.core import (MAX_EXPONENT, BadExponent, CollinearTriple, ConfigError,
                          Configuration, DuplicatePoint, OriginSingularity,
                          OutsideDisk, config_from_json, config_to_json,
                          validate_config)
@@ -43,6 +43,14 @@ def test_rejection_is_total():
     for raw, exc in cases:
         with pytest.raises(exc):
             validate_config(raw)
+
+
+def test_exponent_bound():
+    # Gamma(c + 1) leaves the double range just past c = 170
+    assert validate_config(Configuration(a=(0.5,), c=(MAX_EXPONENT,), n=4, N=None))
+    for c in (170.5, 1000.0, 1e300):
+        with pytest.raises(BadExponent):
+            validate_config(Configuration(a=(0.5,), c=(c,), n=4, N=None))
 
 
 def test_misc_config_errors():

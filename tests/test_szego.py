@@ -5,10 +5,10 @@ import pytest
 
 from mszego.core import Configuration, validate_config
 from mszego.szego import (DegenerateArc, NonGeneric, classify, classify_many,
-                          compute_chains, levels_iterations, phi_L,
+                          compute_chains, levels_iterations, phi_L, plane_stack,
                           solve_levels, solve_structure, trace_curve)
 
-from conftest import A1, NON_GENERIC_A
+from conftest import A1, NON_GENERIC_A, THIN_REGION_A
 
 L1 = math.log(A1) - 0.5  # level constant of the single-point picture
 
@@ -198,6 +198,13 @@ def test_non_generic_detection():
     assert "empty_regions" in info.value.report
 
 
+def test_thin_region_solves():
+    # no lattice node of the old 201 x 201 empty-region scan falls in region 2
+    cfg = validate_config(Configuration(a=THIN_REGION_A, c=(1.0,) * 3, n=20, N=None))
+    st = solve_structure(cfg)
+    assert st.chains == ((1, 3), (2, 1, 3), (3,))
+
+
 # -- curve tracing ---------------------------------------------------------------
 
 
@@ -250,6 +257,44 @@ def test_arc_orientation_left_side(cfg_pair, cfg_level3):
                     assert {left, right} != {arc.j, arc.k}, \
                         f"segment {i} of arc ({arc.j},{arc.k}) oriented backwards"
             assert good > 0.8 * len(range(0, len(arc.points) - 1, 5))
+
+
+# Configurations whose 3-point arc once came back reversed at grid 20 / 19.
+SHORT_ARC_CASES = [
+    ((0.3223130714875922 - 0.03593156416874949j, -0.14208473239987907 + 0.21983954797935218j,
+      -0.3413219138647612 + 0.6233474596729266j, -0.1956372569589491 - 0.39433978747556997j),
+     20),
+    ((0.1361212744624903 - 0.6996559972719819j, 0.17867038424248502 + 0.06320372028173377j,
+      0.16111430845496097 + 0.4598816241397052j, 0.04025462154188196 - 0.2924942180560561j),
+     19),
+]
+
+
+def _assert_left_side_rises(st, cs):
+    """phi_j - phi_k grows across every step of every arc, right to left."""
+    for arc in cs.arcs:
+        d = np.diff(arc.points)
+        mid = 0.5 * (arc.points[1:] + arc.points[:-1])
+        off = 1e-6 * 1j * d / np.abs(d)
+        left = plane_stack(mid + off, st.config.a, st.L)
+        right = plane_stack(mid - off, st.config.a, st.L)
+        rise = (left[arc.j] - left[arc.k]) - (right[arc.j] - right[arc.k])
+        assert (rise > 0).all(), f"arc ({arc.j},{arc.k}) of {len(arc)} points reversed"
+
+
+def test_arcs_oriented_by_plane_values():
+    for cfg in random_generic_configs(10, seed=31):
+        st = solve_structure(cfg)
+        for grid in (40, 97):
+            try:
+                cs = trace_curve(st, grid=grid, tol=1e-8)
+            except DegenerateArc:
+                continue
+            _assert_left_side_rises(st, cs)
+    for a, grid in SHORT_ARC_CASES:
+        cfg = validate_config(Configuration(a=a, c=(1.0,) * 4, n=20, N=None))
+        st = solve_structure(cfg)
+        _assert_left_side_rises(st, trace_curve(st, grid=grid, tol=1e-8))
 
 
 def test_traced_points_are_label_ties(cfg_pair, cfg_level3):

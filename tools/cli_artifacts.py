@@ -41,6 +41,19 @@ INTEGER = ("single", "pair", "level2", "level3")
 # the double-double coefficients hold the roots to about 1e-10 only, so
 # `oracle` refuses them (exit 4)
 LARGE_N = {f"pair_n{n}": {**CONFIGS["pair"], "n": n} for n in (40, 96, 128)}
+# region 2 of "thin" holds no node of a 201 x 201 lattice; the 3-point arc
+# (0, 4) of "short_arc" at grid 20 needs orientation by the plane gradients
+EDGE_CASES = {
+    "thin": {"a": [[-0.26603533053930284, -0.2312551562679013],
+                   [0.34438873360971434, 0.23521115687641278],
+                   [-0.5608668989154224, -0.4136541410891054]],
+             "c": [1.0, 1.0, 1.0], "n": 20},
+    "short_arc": {"a": [[0.3223130714875922, -0.03593156416874949],
+                        [-0.14208473239987907, 0.21983954797935218],
+                        [-0.3413219138647612, 0.6233474596729266],
+                        [-0.1956372569589491, -0.39433978747556997]],
+                  "c": [1.0, 1.0, 1.0, 1.0], "n": 20},
+}
 
 
 def commands(out: str, cfgs: dict[str, str]):
@@ -75,6 +88,9 @@ def commands(out: str, cfgs: dict[str, str]):
         name = f"oracle_quad_{key}_{degree}"
         yield name, ["oracle", cfgs[key], "--method", "quad", "--degree", str(degree),
                      "--out", path(name + ".csv")]
+    yield "levels_thin", ["levels", cfgs["thin"]]
+    name = "curve_short_arc_20"
+    yield name, ["curve", cfgs["short_arc"], "--grid", "20", "--out", path(name + ".csv")]
     name = "compare_quad_pair_6"
     yield name, ["compare", cfgs["pair"], "--method", "quad", "--degree", "6",
                  "--out", path(name + ".csv")]
@@ -83,7 +99,7 @@ def commands(out: str, cfgs: dict[str, str]):
         yield name, ["fc", "--c", c, "--out", path(name + ".csv")]
     zero_runs = [("1", ("-2", "6", "0.5", "25"))]
     zero_runs += [(c, ("-6", "20", "-21", "21")) for c in ("0.5", "-0.5", "1.3")]
-    zero_runs += [("2", ("-10.5", "10.5", "-10.5", "10.5"))]
+    zero_runs += [("2", ("-10.5", "10.5", "-10.5", "10.5")), ("1", ("1", "-1", "5", "8"))]
     for c, box in zero_runs:
         name = f"fc_zeros_{c}_{'_'.join(box)}"
         yield name, ["fc-zeros", "--c", c, "--box", *box, "--out", path(name + ".csv")]
@@ -92,7 +108,7 @@ def commands(out: str, cfgs: dict[str, str]):
 def run(out: str) -> None:
     os.makedirs(out, exist_ok=True)
     cfgs = {}
-    for key, doc in {**CONFIGS, **LARGE_N}.items():
+    for key, doc in {**CONFIGS, **LARGE_N, **EDGE_CASES}.items():
         cfgs[key] = os.path.join(out, f"config_{key}.json")
         with open(cfgs[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
