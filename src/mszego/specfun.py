@@ -10,8 +10,13 @@ integer ``c`` it is the degree-(c-1) Taylor polynomial of exp divided by
 which is also the small-argument route for ``f_c`` through
 ``f_c = exp(z) z^(-c) - E_c(z)``; at large modulus ``f_c`` switches to
 its (optimally truncated) inverse-power expansion with coefficients
-``alpha_i(c) = 1/Gamma(c + 1 - i)``.  Zeros of ``E_c`` are located by
-the argument principle on subdivided rectangles plus Newton polish.
+``alpha_i(c) = 1/Gamma(c + 1 - i)``.
+
+Zeros of ``E_c`` are isolated by the argument principle on bisected
+rectangles (Delves & Lyness 1967).  As soon as a rectangle winds once,
+Newton runs from its centre; the zero is taken if Newton settles inside
+the rectangle, and the rectangle is halved otherwise.  A rectangle that
+still fails under 0.05 on a side ends the search.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
 
 SERIES_MAX_TERMS = 400
 SERIES_RADIUS = 35.0     # beyond this the entire series loses too many digits
+SERIES_CHUNK = 64        # terms per block of the array series kernel
 ASYMPTOTIC_MAX_TERMS = 30
 
 
@@ -65,8 +71,11 @@ class FcEvaluator:
 
     ``r_switch`` separates the entire-series route from the asymptotic
     route, which is truncated after at most ``ASYMPTOTIC_MAX_TERMS``
-    terms.  Worst-case relative accuracy sits near the crossover (about
-    1e-5 for small exponents) and improves rapidly in both directions.
+    terms.  The entire series cancels away from the positive axis: its
+    terms peak near ``exp(|z|)`` while the sum is near ``exp(Re z)|z|^-c``
+    or ``1/|z|``, so it loses about ``exp(|z| - Re z)`` ulps.  Measured
+    against a 50-digit sum at c = 1, the relative error of ``E_c`` is
+    1.8e-13 at 10i, 1.2e-8 at 20i and 1.3e-2 at 34i (ROADMAP item 2).
     """
 
     def __init__(self, c: float):
@@ -145,6 +154,39 @@ class FcEvaluator:
                 break
         return acc
 
+    def _entire_series_array(self, zeta: np.ndarray) -> np.ndarray:
+        """``_entire_series`` at many points, bit for bit the scalar loop.
+
+        ``cumprod`` and ``cumsum`` run in term order, so every point sees
+        the loop's own products and partial sums, and each stops at its
+        own first index where the loop would break.  Terms go in chunks
+        of ``SERIES_CHUNK`` so that points which stop early are dropped
+        before the rest run on; terms past a stop are computed but unused.
+        """
+        zeta = np.asarray(zeta, dtype=complex)
+        out = np.empty_like(zeta)
+        todo = np.arange(zeta.size)
+        az = np.abs(zeta)
+        pw = np.ones_like(zeta)
+        acc = np.zeros_like(zeta)
+        with np.errstate(all="ignore"):
+            for k0 in range(0, SERIES_MAX_TERMS, SERIES_CHUNK):
+                r = self._rgammas[k0:k0 + SERIES_CHUNK]
+                steps = np.broadcast_to(zeta[:, None], (zeta.size, r.size))
+                pws = np.cumprod(np.column_stack([pw, steps]), axis=1)
+                accs = np.cumsum(np.column_stack([acc, pws[:, :-1] * r]), axis=1)[:, 1:]
+                stop = np.abs(pws[:, 1:]) * np.abs(r) < 1e-18 * (np.abs(accs) + 1e-300)
+                stop &= np.arange(k0, k0 + r.size) > az[:, None]
+                done = stop.any(axis=1)
+                out[todo[done]] = accs[done, stop[done].argmax(axis=1)]
+                more = ~done
+                todo, zeta, az = todo[more], zeta[more], az[more]
+                pw, acc = pws[more, -1], accs[more, -1]
+                if not todo.size:
+                    break
+        out[todo] = acc
+        return out
+
     def _asymptotic(self, zeta: complex) -> complex:
         """Optimally truncated inverse-power sum; stops at the smallest term."""
         acc = 0j
@@ -191,18 +233,25 @@ def _boundary_winding(ev: FcEvaluator, x0, x1, y0, y1) -> int:
     """Winding number of E_c along the rectangle boundary.
 
     Samples adaptively until consecutive phase steps are < pi/2, raising
-    ContourThroughZero when |E_c| collapses on the contour.
+    ContourThroughZero when |E_c| collapses on the contour.  The coarse
+    samples inside ``SERIES_RADIUS`` go through the array series kernel
+    in one pass; the rest and every refinement midpoint are scalar.
     """
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    pts: list[complex] = []
+    sides = []
     # the phase of E_c rotates at up to ~(1+|c|) rad per unit where the
     # exponential dominates, so the coarse sampling must resolve that
     step = 0.5 / (1.0 + abs(ev.c))
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
         m = max(8, int(math.ceil(abs(b - a) / step)))
-        pts.extend(a + (b - a) * t for t in np.arange(m) / m)
-    vals = [ev.entire(p) for p in pts]
+        sides.append(a + (b - a) * (np.arange(m) / m))
+    pts = np.concatenate(sides)
+    near = np.abs(pts) <= SERIES_RADIUS
+    vals = np.empty_like(pts)
+    vals[near] = ev._entire_series_array(pts[near])
+    vals[~near] = [ev.entire(p) for p in pts[~near]]
+    pts, vals = pts.tolist(), vals.tolist()
 
     def local_scale(p):
         # natural magnitude of E_c: the exponential part plus the tail part
@@ -238,39 +287,60 @@ def _boundary_winding(ev: FcEvaluator, x0, x1, y0, y1) -> int:
 def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
     """All zeros of E_c inside the rectangle ``box = (x0, x1, y0, y1)``.
 
-    Recursive bisection by winding count isolates single zeros, Newton
-    polishes them, and the final multiset is checked against the winding
-    number of the whole box.
+    Boxes are halved by winding count.  A box that winds once is polished
+    at once: Newton from its centre, taken if it settles inside the box
+    and ``|E_c|`` there passes the ``_series_scale`` backward-error guard.
+    Otherwise the box is halved again; one that still fails under 0.05
+    on a side raises ContourThroughZero.  The zeros found are checked
+    against the winding number of the whole box.
     """
     ev = _evaluator(c)
     x0, x1, y0, y1 = (float(v) for v in box)
     total = _boundary_winding(ev, x0, x1, y0, y1)
     zeros: list[complex] = []
+    eps = np.finfo(float).eps
 
-    def newton(z0: complex) -> complex:
-        z = z0
+    def polish(bx0, bx1, by0, by1) -> complex | None:
+        """Newton from the box centre: the zero if it settles in the box.
+
+        It settles when its step meets ``tol`` or, on the series route,
+        when |E_c| falls to the rounding floor of the series, eps times
+        the sum of its term magnitudes; past |z| ~ 15 that floor stalls
+        the step above ``tol``.  An iterate that leaves the box ends the
+        run.
+        """
+        z = complex(0.5 * (bx0 + bx1), 0.5 * (by0 + by1))
         for _ in range(60):
             v = ev.entire(z)
+            if abs(z) <= SERIES_RADIUS and abs(v) <= eps * _series_scale(ev, z):
+                break
             dv = ev.entire_deriv(z)
             if dv == 0:
-                break
+                return None
             step = v / dv
             z -= step
+            if not (bx0 <= z.real <= bx1 and by0 <= z.imag <= by1):
+                return None
             if abs(step) < 0.25 * tol * (1.0 + abs(z)):
                 break
+        else:
+            return None
+        if abs(ev.entire(z)) > 1e3 * tol * _series_scale(ev, z):
+            return None
         return z
 
     def descend(bx0, bx1, by0, by1, count, depth):
         if count == 0:
             return
-        if count == 1 and max(bx1 - bx0, by1 - by0) < 0.05:
-            z = newton(complex(0.5 * (bx0 + bx1), 0.5 * (by0 + by1)))
-            scale = _series_scale(ev, z)
-            if abs(ev.entire(z)) > 1e3 * tol * scale:
+        if count == 1:
+            z = polish(bx0, bx1, by0, by1)
+            if z is not None:
+                zeros.append(z)
+                return
+            if max(bx1 - bx0, by1 - by0) < 0.05:
                 raise ContourThroughZero(
-                    f"Newton polish failed near {z}; jitter the box")
-            zeros.append(z)
-            return
+                    f"Newton polish failed in the box {(bx0, bx1, by0, by1)}; "
+                    "jitter the box")
         if depth > 60:
             raise ContourThroughZero("subdivision failed to isolate a zero")
         # split the longer side, jittering the cut off any zero

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
+from mszego import specfun
 from mszego.specfun import (ContourThroughZero, E_c, FcEvaluator,
                             OnNegativeAxis, alpha, f_c, f_c_sides, zeros_E_c)
 
@@ -168,6 +169,33 @@ def test_entirety_along_negative_axis():
             assert abs(ev.entire(complex(x, 0.0)) - up) < 1e-6 * abs(up)
 
 
+def test_entire_series_array_is_the_scalar_loop():
+    # the array kernel must reproduce the scalar loop bit for bit; points
+    # near radius 35 run the loop past one chunk of terms
+    rng = np.random.default_rng(11)
+    r = np.concatenate([35.0 * np.sqrt(rng.uniform(0.0, 1.0, 300)),
+                        rng.uniform(33.0, 35.0, 60)])
+    z = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, r.size))
+    z = np.concatenate([z, [0.0, -3.0, 2j * math.pi]])
+    for c in (0.5, 1.0, 2.5, -0.5, 1.3):
+        ev = FcEvaluator(c)
+        want = np.array([ev._entire_series(complex(p)) for p in z])
+        got = ev._entire_series_array(z)
+        assert np.array_equal(got.view(float), want.view(float)), c
+
+
+def _count_windings(monkeypatch):
+    calls = []
+    winding = specfun._boundary_winding
+
+    def counted(*args):
+        calls.append(args)
+        return winding(*args)
+
+    monkeypatch.setattr(specfun, "_boundary_winding", counted)
+    return calls
+
+
 # -- zeros -------------------------------------------------------------------
 
 
@@ -175,6 +203,25 @@ def test_zeros_unit_exponent_box():
     zs = zeros_E_c(1.0, (-0.5, 1.0, 5.0, 8.0))
     assert len(zs) == 1
     assert abs(zs[0] - 2j * math.pi) < 1e-9
+
+
+def test_zeros_split_when_newton_leaves_the_box(monkeypatch):
+    # Newton from this box's centre leaves the box, so the one zero is
+    # found only after the box is split
+    calls = _count_windings(monkeypatch)
+    zs = zeros_E_c(1.0, (-0.2, 5.0, 6.0, 12.0))
+    assert len(zs) == 1
+    assert abs(zs[0] - 2j * math.pi) < 1e-12
+    assert len(calls) > 1
+
+
+def test_zeros_polish_once_a_box_holds_one_zero(monkeypatch):
+    # the benchmark box: polishing as soon as a box holds one zero keeps
+    # the contour count well under the 100 of halving to the 0.05 floor
+    calls = _count_windings(monkeypatch)
+    zs = zeros_E_c(1.0, (-2.0, 6.0, 0.5, 25.0))
+    assert len(zs) == 3
+    assert len(calls) <= 30
 
 
 def test_zeros_unit_exponent_ladder():

@@ -100,6 +100,7 @@ def commands(out: str, cfgs: dict[str, str]):
     zero_runs = [("1", ("-2", "6", "0.5", "25"))]
     zero_runs += [(c, ("-6", "20", "-21", "21")) for c in ("0.5", "-0.5", "1.3")]
     zero_runs += [("2", ("-10.5", "10.5", "-10.5", "10.5")), ("1", ("1", "-1", "5", "8"))]
+    zero_runs += [("1", ("-0.2", "5", "6", "12"))]
     for c, box in zero_runs:
         name = f"fc_zeros_{c}_{'_'.join(box)}"
         yield name, ["fc-zeros", "--c", c, "--box", *box, "--out", path(name + ".csv")]
