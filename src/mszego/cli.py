@@ -36,7 +36,7 @@ from .core import MAX_EXPONENT, ConfigError, load_config
 from .oracle import (IllConditioned, NoConvergence, QuadratureNotConverged,
                      exact_moments, monic_op, orthogonality_residuals,
                      quad_moments, root_curve_distance, roots, poly_eval)
-from .specfun import ContourThroughZero, FcEvaluator, zeros_E_c
+from .specfun import ContourThroughZero, E_c, FcEvaluator, zeros_E_c
 from .szego import (DegenerateArc, NonGeneric, classify_many, plane_stack,
                     solve_structure, trace_curve)
 
@@ -261,9 +261,8 @@ def cmd_fc_zeros(args) -> list[str]:
     if not (x0 < x1 and y0 < y1):
         raise ConfigError(f"--box needs X0 < X1 and Y0 < Y1, got {args.box}")
     _require_positive("--tol", args.tol)
-    ev = FcEvaluator(c)
     zs = zeros_E_c(c, tuple(args.box), tol=args.tol)
-    rows = [(float(z.real), float(z.imag), float(abs(ev.entire(z)))) for z in zs]
+    rows = [(float(z.real), float(z.imag), float(abs(E_c(z, c)))) for z in zs]
     _write_csv(args.out, ["re", "im", "abs_Ec"], rows)
     print(f"{len(zs)} zeros in box {args.box}")
     return [args.out]

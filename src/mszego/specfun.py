@@ -1,16 +1,34 @@
 """The truncated-exponential special function and its entire companion.
 
 ``f_c`` is the unique function vanishing at infinity such that
-``exp(z)/z^c - f_c(z)`` extends to an entire function; for positive
-integer ``c`` it is the degree-(c-1) Taylor polynomial of exp divided by
-``z^c``.  The entire companion has the everywhere-convergent series
+``exp(z)/z^c - f_c(z)`` extends to an entire function ``E_c``:
 
-    E_c(z) = sum_{k>=0} z^k / Gamma(c + k + 1),
+    E_c(z) = sum_{k>=0} z^k / Gamma(c + k + 1),    f_c = exp(z) z^(-c) - E_c.
 
-which is also the small-argument route for ``f_c`` through
-``f_c = exp(z) z^(-c) - E_c(z)``; at large modulus ``f_c`` switches to
-its (optimally truncated) inverse-power expansion with coefficients
-``alpha_i(c) = 1/Gamma(c + 1 - i)``.
+For positive integer ``c``, ``f_c`` is the degree-(c-1) Taylor polynomial
+of exp divided by ``z^c``.  Through the incomplete gamma function,
+``f_c(z) = exp(z) z^(-c) Gamma(c, z) / Gamma(c)``, and ``E_c`` is
+``exp(z)`` times Tricomi's ``gamma*(c, z)``.
+
+Each point takes one of four routes, chosen from the point alone.  A
+route gives one of the two functions and the link above gives the other:
+
+* the series above gives ``E_c`` in the disk ``|z| <= SERIES_RADIUS + |c|``;
+* Legendre's continued fraction for ``Gamma(c, z)``, by the modified
+  Lentz method (Thompson & Barnett 1986), gives ``f_c`` in the wedge
+  ``|arg z| <= CF_ANGLE`` past the disk, and ``f_c`` alone takes it in
+  the wedge from ``|z| >= CF_RADIUS + max(c, 0)`` on;
+* Kummer's series ``E_c = exp(z)/Gamma(c) sum (-z)^k / ((c + k) k!)``
+  gives ``E_c`` near the negative axis for ``|z| < KUMMER_RADIUS``; its
+  terms do not cancel there and it is real on the axis;
+* farther out, the optimally truncated inverse-power expansion of
+  ``f_c``, with coefficients ``alpha_i(c) = 1/Gamma(c + 1 - i)``.
+
+On 48-point rings ``|z| = 0.5 .. 35`` at c = -0.5, 0.5, 1, 1.3, 2, 2.5,
+3, 5.5 and 10.5 both functions agree with 40-digit values to a relative
+5e-13.  The worst points lie just past the wedge, where Kummer's series
+loses about ``exp(|z| (1 + cos CF_ANGLE))`` ulps.  At c = -0.9 the series
+disk reaches 1.5e-12 near the negative axis.
 
 Zeros of ``E_c`` are isolated by the argument principle on bisected
 rectangles (Delves & Lyness 1967).  As soon as a rectangle winds once,
@@ -40,9 +58,19 @@ __all__ = [
 ]
 
 SERIES_MAX_TERMS = 400
-SERIES_RADIUS = 35.0     # beyond this the entire series loses too many digits
-SERIES_CHUNK = 64        # terms per block of the array series kernel
+SERIES_RADIUS = 5.0      # the series disk is |z| <= SERIES_RADIUS + |c|
+# the continued fraction serves |arg z| <= CF_ANGLE; it needs more steps
+# toward the negative axis, and Kummer's series cancels more away from it
+CF_ANGLE = 2.5
+# f_c takes the fraction in its wedge from |z| >= CF_RADIUS + max(c, 0) on:
+# nearer the origin the fraction converges falsely once c passes ~10, and
+# past it exp(z) z^(-c) - E_c cancels near the positive axis
+CF_RADIUS = 1.0
+CF_MAX_TERMS = 2000      # the slowest point, |z| = 1 at the wedge edge, takes ~770 steps
+KUMMER_RADIUS = 40.0     # past it the inverse-power sum is exact to rounding
 ASYMPTOTIC_MAX_TERMS = 30
+EPS = float(np.finfo(float).eps)
+TINY = 1e-300            # Lentz's stand-in for a zero denominator
 
 
 class OnNegativeAxis(Exception):
@@ -67,125 +95,95 @@ def alpha(i: int, c: float) -> float:
 
 
 class FcEvaluator:
-    """Evaluator for one exponent with its route thresholds.
+    """``E_c``, its derivative and ``f_c`` for one exponent ``c``.
 
-    ``r_switch`` separates the entire-series route from the asymptotic
-    route, which is truncated after at most ``ASYMPTOTIC_MAX_TERMS``
-    terms.  The entire series cancels away from the positive axis: its
-    terms peak near ``exp(|z|)`` while the sum is near ``exp(Re z)|z|^-c``
-    or ``1/|z|``, so it loses about ``exp(|z| - Re z)`` ulps.  Measured
-    against a 50-digit sum at c = 1, the relative error of ``E_c`` is
-    1.8e-13 at 10i, 1.2e-8 at 20i and 1.3e-2 at 34i (ROADMAP item 2).
+    The route of a point is fixed by the point alone (see the module
+    docstring); ``E_c`` and ``f_c`` take the same route, except that
+    ``f_c`` takes the continued fraction inside the disk too.  The two
+    series share one loop with two coefficient tables,
+    ``1/Gamma(c + k + 1)`` and Kummer's ``1/(Gamma(c) (c + k) k!)``.
     """
 
     def __init__(self, c: float):
         self.c = c
-        self.r_switch = 8.0 + 2.0 * abs(c)
+        self._radius = SERIES_RADIUS + abs(c)
+        self._cf_radius = CF_RADIUS + max(c, 0.0)
         self._alphas = rgamma(c + 1.0 - np.arange(1, ASYMPTOTIC_MAX_TERMS + 1))
-        self._rgammas = rgamma(c + 1.0 + np.arange(SERIES_MAX_TERMS))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.c == round(self.c) and self.c >= 1
+        k = np.arange(SERIES_MAX_TERMS)
+        self._rgammas = rgamma(c + 1.0 + k)
+        # Kummer's coefficients as (c)_k/k! times 1/Gamma(c + k + 1): finite
+        # at every c, where 1/((c + k) Gamma(c)) is 0/0 at c = -k
+        self._kummer = self._rgammas * np.cumprod(np.r_[1.0, (c + k[:-1]) / k[1:]])
 
     def entire(self, zeta: complex) -> complex:
         """E_c(zeta): everywhere-continuous companion of exp(z)/z^c."""
         zeta = complex(zeta)
-        if abs(zeta) <= SERIES_RADIUS:
-            return self._entire_series(zeta)
-        # far field: exp may be exponentially small or huge; combine with
-        # the asymptotic tail, averaging one-sided power values on the axis
-        if zeta.imag == 0.0 and zeta.real < 0.0:
-            up = cmath.exp(zeta) * complex(zeta) ** (-self.c)
-            zc = cmath.exp(-self.c * complex(math.log(abs(zeta)), -math.pi))
-            return 0.5 * (up + cmath.exp(zeta) * zc) - self._asymptotic(zeta)
+        if abs(zeta) <= self._radius:
+            return self._series(self._rgammas, zeta)
+        if abs(cmath.phase(zeta)) <= CF_ANGLE:
+            return cmath.exp(zeta) * zeta ** (-self.c) - self._fraction(zeta)
+        if abs(zeta) < KUMMER_RADIUS:
+            return cmath.exp(zeta) * self._series(self._kummer, -zeta)
         return cmath.exp(zeta) * zeta ** (-self.c) - self._asymptotic(zeta)
 
     def entire_deriv(self, zeta: complex) -> complex:
+        """E_c'(zeta), from ``zeta E_c' = (zeta - c) E_c + 1/Gamma(c)``.
+
+        At zeta = 0 it is ``1/Gamma(c + 2)``.
+        """
         zeta = complex(zeta)
-        if abs(zeta) <= SERIES_RADIUS:
-            return self._entire_series(zeta, deriv=True)
-        h = 1e-6 * (1.0 + abs(zeta))
-        return (self.entire(zeta + h) - self.entire(zeta - h)) / (2.0 * h)
+        if zeta == 0:
+            return complex(self._rgammas[1])
+        e = self.entire(zeta)
+        return e + (self._alphas[0] - self.c * e) / zeta
 
     def f(self, zeta: complex) -> complex:
         """f_c(zeta) off the closed negative real axis."""
         zeta = complex(zeta)
         if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
             raise OnNegativeAxis(f"f_c is not defined at {zeta}")
-        if self.is_integer:
-            ci = int(round(self.c))
-            acc = 0j
-            term = 1.0 + 0j
-            for k in range(ci):
-                acc += term
-                term *= zeta / (k + 1)
-            return acc / zeta ** ci
-        # the series route also covers a strip along the negative axis:
-        # the inverse-power route is blind to the exponentially small
-        # part that carries the jump across the axis, while the series
-        # (a difference of two exact pieces) reproduces it
-        if abs(zeta) <= self.r_switch or \
-                (zeta.real < 0.0 and abs(zeta.imag) <= 6.0
-                 and abs(zeta) <= SERIES_RADIUS):
-            return cmath.exp(zeta) * zeta ** (-self.c) - self._entire_series(zeta)
-        return self._asymptotic(zeta)
+        if abs(zeta) >= self._cf_radius and abs(cmath.phase(zeta)) <= CF_ANGLE:
+            return self._fraction(zeta)
+        return cmath.exp(zeta) * zeta ** (-self.c) - self.entire(zeta)
 
     # -- internals ---------------------------------------------------------
 
-    def _entire_series(self, zeta: complex, deriv: bool = False) -> complex:
+    def _series(self, table, zeta: complex) -> complex:
+        """``sum_k table[k] zeta^k``, stopped past ``k = |zeta|`` at rounding."""
         acc = 0j
         az = abs(zeta)
-        if deriv:
-            pw = 1.0 + 0j  # zeta^(k-1)
-            for k in range(1, SERIES_MAX_TERMS):
-                r = self._rgammas[k]
-                acc += k * pw * r
-                pw *= zeta
-                if abs(pw) * abs(r) * (k + 1) < 1e-18 * (abs(acc) + 1e-300) and k > az:
-                    break
-            return acc
         pw = 1.0 + 0j  # zeta^k
         for k in range(SERIES_MAX_TERMS):
-            r = self._rgammas[k]
+            r = table[k]
             acc += pw * r
             pw *= zeta
             if abs(pw) * abs(r) < 1e-18 * (abs(acc) + 1e-300) and k > az:
                 break
         return acc
 
-    def _entire_series_array(self, zeta: np.ndarray) -> np.ndarray:
-        """``_entire_series`` at many points, bit for bit the scalar loop.
+    def _fraction(self, zeta: complex) -> complex:
+        """f_c from Legendre's continued fraction, by modified Lentz.
 
-        ``cumprod`` and ``cumsum`` run in term order, so every point sees
-        the loop's own products and partial sums, and each stops at its
-        own first index where the loop would break.  Terms go in chunks
-        of ``SERIES_CHUNK`` so that points which stop early are dropped
-        before the rest run on; terms past a stop are computed but unused.
+        ``exp(z) z^(-c) Gamma(c, z) = 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...)))``
+        with ``b_j = z + 2j + 1 - c`` and ``a_j = -j (j - c)``.  For
+        integer ``c >= 1`` the fraction ends at ``a_c = 0``.
         """
-        zeta = np.asarray(zeta, dtype=complex)
-        out = np.empty_like(zeta)
-        todo = np.arange(zeta.size)
-        az = np.abs(zeta)
-        pw = np.ones_like(zeta)
-        acc = np.zeros_like(zeta)
-        with np.errstate(all="ignore"):
-            for k0 in range(0, SERIES_MAX_TERMS, SERIES_CHUNK):
-                r = self._rgammas[k0:k0 + SERIES_CHUNK]
-                steps = np.broadcast_to(zeta[:, None], (zeta.size, r.size))
-                pws = np.cumprod(np.column_stack([pw, steps]), axis=1)
-                accs = np.cumsum(np.column_stack([acc, pws[:, :-1] * r]), axis=1)[:, 1:]
-                stop = np.abs(pws[:, 1:]) * np.abs(r) < 1e-18 * (np.abs(accs) + 1e-300)
-                stop &= np.arange(k0, k0 + r.size) > az[:, None]
-                done = stop.any(axis=1)
-                out[todo[done]] = accs[done, stop[done].argmax(axis=1)]
-                more = ~done
-                todo, zeta, az = todo[more], zeta[more], az[more]
-                pw, acc = pws[more, -1], accs[more, -1]
-                if not todo.size:
-                    break
-        out[todo] = acc
-        return out
+        b = zeta + 1.0 - self.c
+        g = b if b != 0 else TINY
+        C, D = g, 0j
+        for j in range(1, CF_MAX_TERMS):
+            a = -j * (j - self.c)
+            b += 2.0
+            D = b + a * D
+            D = 1.0 / (D if D != 0 else TINY)
+            C = b + a / C
+            if C == 0:
+                C = TINY
+            delta = C * D
+            g *= delta
+            if abs(delta - 1.0) <= EPS:
+                break
+        return self._alphas[0] / g
 
     def _asymptotic(self, zeta: complex) -> complex:
         """Optimally truncated inverse-power sum; stops at the smallest term."""
@@ -233,25 +231,18 @@ def _boundary_winding(ev: FcEvaluator, x0, x1, y0, y1) -> int:
     """Winding number of E_c along the rectangle boundary.
 
     Samples adaptively until consecutive phase steps are < pi/2, raising
-    ContourThroughZero when |E_c| collapses on the contour.  The coarse
-    samples inside ``SERIES_RADIUS`` go through the array series kernel
-    in one pass; the rest and every refinement midpoint are scalar.
+    ContourThroughZero when |E_c| collapses on the contour.
     """
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    sides = []
+    pts = []
     # the phase of E_c rotates at up to ~(1+|c|) rad per unit where the
     # exponential dominates, so the coarse sampling must resolve that
     step = 0.5 / (1.0 + abs(ev.c))
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
         m = max(8, int(math.ceil(abs(b - a) / step)))
-        sides.append(a + (b - a) * (np.arange(m) / m))
-    pts = np.concatenate(sides)
-    near = np.abs(pts) <= SERIES_RADIUS
-    vals = np.empty_like(pts)
-    vals[near] = ev._entire_series_array(pts[near])
-    vals[~near] = [ev.entire(p) for p in pts[~near]]
-    pts, vals = pts.tolist(), vals.tolist()
+        pts += (a + (b - a) * (np.arange(m) / m)).tolist()
+    vals = [ev.entire(p) for p in pts]
 
     def local_scale(p):
         # natural magnitude of E_c: the exponential part plus the tail part
@@ -289,31 +280,26 @@ def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
 
     Boxes are halved by winding count.  A box that winds once is polished
     at once: Newton from its centre, taken if it settles inside the box
-    and ``|E_c|`` there passes the ``_series_scale`` backward-error guard.
-    Otherwise the box is halved again; one that still fails under 0.05
-    on a side raises ContourThroughZero.  The zeros found are checked
-    against the winding number of the whole box.
+    and passes the forward-error guard
+    ``|E_c(z)| <= 1e3 tol (1 + |z|) |E_c'(z)|``.  Otherwise the box is
+    halved again; one that still fails under 0.05 on a side raises
+    ContourThroughZero.  The zeros found are checked against the winding
+    number of the whole box.
     """
     ev = _evaluator(c)
     x0, x1, y0, y1 = (float(v) for v in box)
     total = _boundary_winding(ev, x0, x1, y0, y1)
     zeros: list[complex] = []
-    eps = np.finfo(float).eps
 
     def polish(bx0, bx1, by0, by1) -> complex | None:
         """Newton from the box centre: the zero if it settles in the box.
 
-        It settles when its step meets ``tol`` or, on the series route,
-        when |E_c| falls to the rounding floor of the series, eps times
-        the sum of its term magnitudes; past |z| ~ 15 that floor stalls
-        the step above ``tol``.  An iterate that leaves the box ends the
-        run.
+        It settles when its step meets ``tol``; an iterate that leaves the
+        box ends the run.
         """
         z = complex(0.5 * (bx0 + bx1), 0.5 * (by0 + by1))
         for _ in range(60):
             v = ev.entire(z)
-            if abs(z) <= SERIES_RADIUS and abs(v) <= eps * _series_scale(ev, z):
-                break
             dv = ev.entire_deriv(z)
             if dv == 0:
                 return None
@@ -325,7 +311,7 @@ def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
                 break
         else:
             return None
-        if abs(ev.entire(z)) > 1e3 * tol * _series_scale(ev, z):
+        if abs(ev.entire(z)) > 1e3 * tol * (1.0 + abs(z)) * abs(ev.entire_deriv(z)):
             return None
         return z
 
@@ -369,16 +355,3 @@ def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
             f"found {len(zeros)} zeros but the box winding is {total}")
     return zeros
 
-
-def _series_scale(ev: FcEvaluator, z: complex) -> float:
-    """Sum of term magnitudes of the entire series (backward-error scale)."""
-    acc = 0.0
-    term = 1.0
-    az = abs(z)
-    for k in range(SERIES_MAX_TERMS):
-        r = abs(float(ev._rgammas[k]))
-        acc += term * r
-        term *= az
-        if term * r < 1e-18 * (acc + 1e-300) and k > az:
-            break
-    return acc

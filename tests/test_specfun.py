@@ -90,26 +90,17 @@ def test_one_sided_values():
 
 
 def test_general_routes_collapse_for_integer_exponents():
-    # drive the non-integer machinery at integer exponents directly; the
-    # series route carries a cancellation floor of eps * exp(|z|), so
-    # its 1e-12 claim is sampled inside |z| <= 8, while the terminating
-    # inverse-power route is exact and sampled far out
-    rng = np.random.default_rng(2)
-    for c in (1.0, 2.0, 3.0):
-        ev = FcEvaluator(c)
-        for _ in range(50):
-            r = rng.uniform(0.3, 8.0)
-            th = rng.uniform(0.06, 1.94) * cmath.pi
-            z = r * cmath.exp(1j * th)
-            closed = ev.f(z)
-            general = cmath.exp(z) * z ** (-c) - ev._entire_series(z)
-            assert abs(general - closed) < 1e-12 * abs(closed)
-        for _ in range(50):
-            r = rng.uniform(ev.r_switch + 2, 25.0)
-            th = rng.uniform(0.06, 1.94) * cmath.pi
-            z = r * cmath.exp(1j * th)
-            closed = ev.f(z)
-            assert abs(ev._asymptotic(z) - closed) < 1e-12 * abs(closed)
+    # rings from 0.5 to 35 off the axis cross every route of the evaluator;
+    # at integer c each must give the truncated Taylor polynomial
+    for c in (1, 2, 3):
+        ev = FcEvaluator(float(c))
+        for r in (0.5, 2.0, 5.0, 8.0, 15.0, 25.0, 35.0):
+            for k in range(48):
+                z = r * cmath.exp(1j * math.pi * (k + 0.5) / 24)
+                closed = sum(z ** i / math.factorial(i) for i in range(c)) / z ** c
+                entire = cmath.exp(z) * z ** -c - closed
+                assert abs(ev.f(z) - closed) < 1e-12 * abs(closed), (c, z)
+                assert abs(ev.entire(z) - entire) < 1e-12 * abs(entire), (c, z)
 
 
 def test_asymptotic_series_consistency_at_20():
@@ -169,19 +160,41 @@ def test_entirety_along_negative_axis():
             assert abs(ev.entire(complex(x, 0.0)) - up) < 1e-6 * abs(up)
 
 
-def test_entire_series_array_is_the_scalar_loop():
-    # the array kernel must reproduce the scalar loop bit for bit; points
-    # near radius 35 run the loop past one chunk of terms
-    rng = np.random.default_rng(11)
-    r = np.concatenate([35.0 * np.sqrt(rng.uniform(0.0, 1.0, 300)),
-                        rng.uniform(33.0, 35.0, 60)])
-    z = r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, r.size))
-    z = np.concatenate([z, [0.0, -3.0, 2j * math.pi]])
-    for c in (0.5, 1.0, 2.5, -0.5, 1.3):
-        ev = FcEvaluator(c)
-        want = np.array([ev._entire_series(complex(p)) for p in z])
-        got = ev._entire_series_array(z)
-        assert np.array_equal(got.view(float), want.view(float)), c
+def _mp_reference(z, c):
+    """E_c from Kummer's 1F1(1; c+1; z) and f_c from Gamma(c, z), in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        z, c = mp.mpc(z), mp.mpf(c)
+        E = mp.hyp1f1(1, c + 1, z) / mp.gamma(c + 1)
+        f = mp.exp(z) * z ** (-c) * mp.gammainc(c, z) / mp.gamma(c)
+        return complex(E), complex(f)
+
+
+@pytest.mark.parametrize("c", [-0.5, 0.5, 1.0, 2.5, 20.5])
+def test_against_mpmath_on_rings(c):
+    # at c = 20.5 the continued fraction is 6e-7 off at |z| = 5: f_c must
+    # not take it that near the origin
+    ev = FcEvaluator(c)
+    for r in (5.0, 15.0, 25.0, 35.0):
+        for k in range(48):
+            z = r * cmath.exp(1j * math.pi * (k + 0.5) / 24)
+            E, f = _mp_reference(z, c)
+            assert abs(ev.entire(z) - E) <= 1e-12 * abs(E), (c, z)
+            assert abs(ev.f(z) - f) <= 1e-12 * abs(f), (c, z)
+
+
+@pytest.mark.parametrize("c", [-0.5, 0.5, 1.0, 2.5])
+def test_far_entire_and_derivative_against_mpmath(c):
+    # far out near the negative axis a Kummer series would overflow to NaN
+    ev = FcEvaluator(c)
+    for z in (complex(-100.0, 0.5), 800.0 * cmath.exp(2.8j)):
+        E, _ = _mp_reference(z, c)
+        assert abs(ev.entire(z) - E) <= 1e-13 * abs(E), (c, z)
+    mp = pytest.importorskip("mpmath")
+    for z in (0.0, 2j * math.pi, 20 + 5j):
+        with mp.workdps(40):
+            want = complex(mp.hyp1f1(2, c + 2, z) / mp.gamma(c + 2))
+        assert abs(ev.entire_deriv(z) - want) <= 1e-13 * abs(want), (c, z)
 
 
 def _count_windings(monkeypatch):
@@ -230,7 +243,7 @@ def test_zeros_unit_exponent_ladder():
                   key=lambda v: v.imag)
     assert len(zs) == 6
     for z, w in zip(sorted(zs, key=lambda v: v.imag), want):
-        assert abs(z - w) < 1e-7  # noise floor grows with exp(|z|)
+        assert abs(z - w) < 1e-7
 
 
 def test_zeros_match_winding_count():
@@ -246,7 +259,6 @@ def test_zeros_negative_exponent_pattern():
     # drift leftward as the exponential must balance a growing algebraic
     # factor, so the locus bends around the zero-free right half plane
     zs = zeros_E_c(-0.5, (-6.0, 20.0, -21.0, 21.0))
-    # pairing tolerance reflects the series cancellation floor at |z|~20
     assert all(any(abs(z.conjugate() - w) < 1e-5 for w in zs) for z in zs)
     upper = sorted((z for z in zs if z.imag > 0.1), key=lambda v: v.imag)
     assert len(upper) >= 2
@@ -259,3 +271,22 @@ def test_contour_through_zero_raises():
     # the unit-exponent zeros sit exactly on the imaginary axis
     with pytest.raises(ContourThroughZero):
         zeros_E_c(1.0, (0.0, 1.0, 5.0, 8.0))
+
+
+def test_unit_exponent_zeros_are_exact():
+    # the zeros of E_1 = (exp(z) - 1)/z are 2 pi i k
+    zs = sorted(zeros_E_c(1.0, (-1.0, 1.0, 5.0, 34.0)), key=lambda v: v.imag)
+    assert len(zs) == 5
+    for k, z in enumerate(zs, start=1):
+        assert abs(z - 2j * math.pi * k) <= 1e-13
+
+
+@pytest.mark.parametrize("c", [-0.5, 0.5, 1.3])
+def test_zeros_against_mpmath_newton_step(c):
+    mp = pytest.importorskip("mpmath")
+    zs = zeros_E_c(c, (-6.0, 20.0, -21.0, 21.0))
+    assert zs
+    with mp.workdps(40):
+        for z in zs:
+            step = mp.hyp1f1(1, c + 1, z) * (c + 1) / mp.hyp1f1(2, c + 2, z)
+            assert abs(step) <= 1e-12, (c, z)
