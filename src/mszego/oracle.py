@@ -136,6 +136,13 @@ def exact_moments(config: Configuration) -> MomentMatrix:
             npow = dd.mul(npow, dd.dd(N))
         g.append(dd.mul(dd.PI, dd.div(dd.dd(fact), npow)))
     g_hi, g_lo = np.array(g).T
+    # Dekker's split (x (2^27 + 1)) overflows once N^(m+1) nears 1e300
+    bad = ~(np.isfinite(g_hi) & np.isfinite(g_lo))
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise IllConditioned(
+            f"exact moments at degree {n} need N^{m + 1} = {N:g}^{m + 1}, "
+            f"past the double-double range", math.inf)
 
     # one diagonal offset d = k - j at a time, for all rows j at once
     size = n + 1
@@ -169,12 +176,14 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _suppression(z: np.ndarray, config, radii) -> np.ndarray:
-    out = np.ones(z.shape)
-    for aj, rj in zip(config.a, radii):
-        rho = np.abs(z - aj)
-        out *= 1.0 - _bump(2.0 * rho / rj - 1.0)
-    return out
+def _cutoff_radii(config: Configuration) -> list[float]:
+    """Patch radius r_j = min(0.1, 0.45 d_j) at each a_j, d_j the distance
+    to the nearest other point, so the disks |z - a_j| < r_j are disjoint."""
+    radii = []
+    for j, aj in enumerate(config.a):
+        others = [abs(aj - ak) for k, ak in enumerate(config.a) if k != j]
+        radii.append(min(0.1, 0.45 * min(others, default=math.inf)))
+    return radii
 
 
 def _vander_accumulate(M, z, w, size):
@@ -210,11 +219,7 @@ def _moments_mesh(config: Configuration, size, factor: int,
     R = math.sqrt((2 * n + 40) / N) * R_scale
     all_integer = all(cj == round(cj) and cj >= 1 for cj in config.c)
 
-    dists = []
-    for j, aj in enumerate(config.a):
-        others = [abs(aj - ak) for k, ak in enumerate(config.a) if k != j]
-        dists.append(min(others) if others else math.inf)
-    radii = [min(0.1, 0.45 * d) for d in dists]
+    radii = _cutoff_radii(config)
 
     # radial panels: Gauss-Legendre per panel sized to the Gaussian scale,
     # refined through the bump-transition annuli around each |a_j|
@@ -260,16 +265,19 @@ def _moments_mesh(config: Configuration, size, factor: int,
     for i0 in range(0, r.size, chunk):
         rr = r[i0:i0 + chunk]
         z = rr[:, None] * eit[None, :]
-        w = (rr * wr[i0:i0 + chunk])[:, None] * np.exp(-N * rr * rr)[:, None] * wt
-        w = np.broadcast_to(w, z.shape).copy()
+        w = (rr * wr[i0:i0 + chunk] * np.exp(-N * rr * rr) * wt)[:, None]
+        rhos = []
         for aj, cj in zip(config.a, config.c):
-            w *= np.abs(z - aj) ** (2.0 * cj)
-        if not all_integer:
-            # the cutoff is exactly 1.0 on rows farther than r_j from every |a_j|
-            near = np.zeros(rr.size, dtype=bool)
-            for aj, rj in zip(config.a, radii):
-                near |= np.abs(rr - abs(aj)) < rj
-            w[near] *= _suppression(z[near], config, radii)
+            rho = np.abs(z - aj)
+            w = w * rho ** (2.0 * cj)
+            if not all_integer:
+                rhos.append(rho)
+        # 1 - bump is exactly 1.0 outside the disk rho_j < r_j and the disks
+        # are disjoint, so a node takes at most one cutoff factor; it must
+        # follow every power, or the product rounds differently
+        for rho, rj in zip(rhos, radii):
+            inside = rho < rj
+            w[inside] *= 1.0 - _bump(2.0 * rho[inside] / rj - 1.0)
         _angular_accumulate(M, rr, w)
 
     if all_integer:

@@ -285,9 +285,15 @@ def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
     halved again; one that still fails under 0.05 on a side raises
     ContourThroughZero.  The zeros found are checked against the winding
     number of the whole box.
+
+    At a nonpositive integer c = -m, ``E_c(z) = z^m e^z``: its one zero,
+    0 of multiplicity m, no box splits, so it is returned m times when
+    the closed box holds 0.
     """
-    ev = _evaluator(c)
     x0, x1, y0, y1 = (float(v) for v in box)
+    if c <= 0 and c == round(c):
+        return [0j] * -int(c) if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1 else []
+    ev = _evaluator(c)
     total = _boundary_winding(ev, x0, x1, y0, y1)
     zeros: list[complex] = []
 

@@ -198,6 +198,14 @@ def test_oracle_past_factorial_limit_exit_code(tmp_path, capsys):
     assert "IllConditioned" in capsys.readouterr().err
 
 
+def test_fc_zeros_multiple_zero_at_nonpositive_integer(tmp_path, capsys):
+    out = str(tmp_path / "z.csv")
+    assert main(["fc-zeros", "--c", "-3", "--box", "-10", "10", "-10", "10",
+                 "--out", out]) == 0
+    assert open(out).read().splitlines() == ["re,im,abs_Ec"] + ["0.0,0.0,0.0"] * 3
+    assert "3 zeros in box" in capsys.readouterr().out
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # a box edge running through a zero ladder trips the contour guard
     out = str(tmp_path / "z.csv")

@@ -55,6 +55,19 @@ def test_exact_moments_factorial_limit():
     assert np.all(np.isfinite(M.entries)) and M.size == 169
 
 
+def test_exact_moments_double_double_range():
+    # on FIG4 at n = N = 140 the Dekker split overflows on N^140 ~ 1e300,
+    # well inside the factorial limit
+    fig4 = Configuration(a=(0.5 - 0.5j, -0.25 - 0.5j), c=(1.0, 1.0), n=140, N=None)
+    with pytest.raises(IllConditioned) as exc:
+        exact_moments(validate_config(fig4))
+    assert "N^140 = 140^140, past the double-double range" in str(exc.value)
+    assert exc.value.cond_estimate == math.inf
+    cfg = validate_config(fig4.replace_degree(130, 130.0))
+    poly = monic_op(exact_moments(cfg), 130)
+    assert math.isfinite(poly.h_n) and poly.h_n > 0
+
+
 def test_monic_degree_zero(cfg_hand):
     M = exact_moments(cfg_hand)
     p0 = monic_op(M, 0)
@@ -203,7 +216,32 @@ def test_quadrature_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 256 * 2 ** 20
+    # 55 MB measured with one |z - a_j| per node and the cutoff inside
+    # its disk only (79 MB when the cutoff ran over whole radial rows)
+    assert peak < 72 * 2 ** 20
+
+
+def test_bump_is_exact_outside_its_transition():
+    from mszego.oracle import _bump
+    t = np.array([-np.inf, -5.0, -1e-300, -0.0, 0.0, 1.0, 1.0 + 1e-15, 3.0, np.inf])
+    out = _bump(t)
+    assert np.array_equal(out[:5], np.ones(5))
+    assert np.array_equal(out[5:], np.zeros(4))
+    mid = _bump(np.linspace(0.1, 0.9, 9))
+    assert np.all((mid > 0.0) & (mid < 1.0)) and np.all(np.diff(mid) < 0)
+
+
+@pytest.mark.parametrize("name", ["cfg_level2_frac", "cfg_branchy"])
+def test_cutoff_disks_are_disjoint(name, request):
+    # the main grid multiplies each node by at most one cutoff factor
+    from mszego.oracle import _cutoff_radii
+    cfg = request.getfixturevalue(name)
+    radii = _cutoff_radii(cfg)
+    for j in range(len(cfg.a)):
+        assert radii[j] == min(0.1, 0.45 * min(
+            abs(cfg.a[j] - ak) for k, ak in enumerate(cfg.a) if k != j))
+        for k in range(j):
+            assert radii[j] + radii[k] < abs(cfg.a[j] - cfg.a[k])
 
 
 def test_roots_simple_quadratic():

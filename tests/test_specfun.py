@@ -267,6 +267,17 @@ def test_zeros_negative_exponent_pattern():
     assert all(x.real > y.real for x, y in zip(upper, upper[1:]))
 
 
+def test_zeros_nonpositive_integer_exponent():
+    # E_{-m}(z) = z^m e^z: one zero at 0 of multiplicity m, which no box
+    # split isolates
+    assert zeros_E_c(-3.0, (-10.0, 10.0, -10.0, 10.0)) == [0j, 0j, 0j]
+    assert zeros_E_c(-2.0, (0.0, 1.0, -1.0, 0.5)) == [0j, 0j]
+    assert zeros_E_c(-3.0, (1.0, 2.0, -1.0, 1.0)) == []
+    assert zeros_E_c(0.0, (-10.0, 10.0, -10.0, 10.0)) == []
+    assert E_c(0j, -3.0) == 0
+    assert abs(E_c(1.5 + 2j, -3.0) - (1.5 + 2j) ** 3 * cmath.exp(1.5 + 2j)) < 1e-12
+
+
 def test_contour_through_zero_raises():
     # the unit-exponent zeros sit exactly on the imaginary axis
     with pytest.raises(ContourThroughZero):

@@ -88,6 +88,12 @@ def commands(out: str, cfgs: dict[str, str]):
         name = f"oracle_quad_{key}_{degree}"
         yield name, ["oracle", cfgs[key], "--method", "quad", "--degree", str(degree),
                      "--out", path(name + ".csv")]
+    # two non-integer points close enough that the main grid's cutoff
+    # factor must follow every power: taken between them, it moves moment
+    # bits here (not at degree 6, nor in any other run of this set)
+    name = "oracle_quad_level2_frac_12"
+    yield name, ["oracle", cfgs["level2_frac"], "--method", "quad", "--degree", "12",
+                 "--out", path(name + ".csv"), "--moments-out", path(name + "_moments.json")]
     yield "levels_thin", ["levels", cfgs["thin"]]
     name = "curve_short_arc_20"
     yield name, ["curve", cfgs["short_arc"], "--grid", "20", "--out", path(name + ".csv")]
