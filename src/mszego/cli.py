@@ -201,10 +201,18 @@ def _asymp_points(args):
     try:
         with open(args.points, "r", encoding="utf-8") as fh:
             fh.readline()  # header
-            rows = [line.strip().split(",") for line in fh]
-        pts = [complex(float(p[0]), float(p[1])) for p in rows if len(p) >= 2]
+            lines = [line.strip() for line in fh]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read points file {args.points}: {exc}") from exc
+    pts = []
+    for i, line in enumerate(lines, start=2):
+        try:
+            if line:  # blank lines are skipped
+                re_, im_ = line.split(",")[:2]
+                pts.append(complex(float(re_), float(im_)))
+        except ValueError as exc:
+            raise ConfigError(f"line {i} of points file {args.points} is not "
+                              f"'re,im': {line!r}") from exc
     for z in pts:
         _require_finite(f"a point of {args.points}", z.real, z.imag)
     return pts

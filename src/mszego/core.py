@@ -35,8 +35,10 @@ __all__ = [
 COLLINEAR_TOL = 1e-10
 # Two singular points closer than this are considered duplicates.
 DUPLICATE_TOL = 1e-12
-# Largest exponent: past it Gamma(c + 1) leaves the double range.
-MAX_EXPONENT = 170.0
+# Largest exponent.  Past it the series for E_c needs 1/Gamma(c + k + 1) beyond
+# c + k = 170, where it is subnormal or 0: at c = 90 E_c is 2.5e-11 off on the
+# rim |z| = 5 + c of the series disk (3.6e-13 at c = 85).
+MAX_EXPONENT = 85.0
 
 
 class ConfigError(ValueError):

@@ -10,25 +10,29 @@ of exp divided by ``z^c``.  Through the incomplete gamma function,
 ``f_c(z) = exp(z) z^(-c) Gamma(c, z) / Gamma(c)``, and ``E_c`` is
 ``exp(z)`` times Tricomi's ``gamma*(c, z)``.
 
-Each point takes one of four routes, chosen from the point alone.  A
+Each point takes one of three routes, chosen from the point alone.  A
 route gives one of the two functions and the link above gives the other:
 
 * the series above gives ``E_c`` in the disk ``|z| <= SERIES_RADIUS + |c|``;
-* Legendre's continued fraction for ``Gamma(c, z)``, by the modified
-  Lentz method (Thompson & Barnett 1986), gives ``f_c`` in the wedge
-  ``|arg z| <= CF_ANGLE`` past the disk, and ``f_c`` alone takes it in
-  the wedge from ``|z| >= CF_RADIUS + max(c, 0)`` on;
 * Kummer's series ``E_c = exp(z)/Gamma(c) sum (-z)^k / ((c + k) k!)``
-  gives ``E_c`` near the negative axis for ``|z| < KUMMER_RADIUS``; its
-  terms do not cancel there and it is real on the axis;
-* farther out, the optimally truncated inverse-power expansion of
-  ``f_c``, with coefficients ``alpha_i(c) = 1/Gamma(c + 1 - i)``.
+  gives ``E_c`` past the disk near the negative axis,
+  ``|arg z| > CF_ANGLE`` and ``|z| < KUMMER_RADIUS``; its terms do not
+  cancel there and it is real on the axis;
+* Legendre's continued fraction for ``Gamma(c, z)``, by the modified
+  Lentz method (Thompson & Barnett 1986), gives ``f_c`` everywhere else
+  past the disk, and ``f_c`` alone takes it wherever Kummer's series does
+  not serve, from ``|z| >= CF_RADIUS + max(c, 0)`` on.
 
 On 48-point rings ``|z| = 0.5 .. 35`` at c = -0.5, 0.5, 1, 1.3, 2, 2.5,
 3, 5.5 and 10.5 both functions agree with 40-digit values to a relative
 5e-13.  The worst points lie just past the wedge, where Kummer's series
 loses about ``exp(|z| (1 + cos CF_ANGLE))`` ulps.  At c = -0.9 the series
-disk reaches 1.5e-12 near the negative axis.
+disk reaches 1.5e-12 near the negative axis.  On rings ``|z| = 0.5 ..
+2c + 20`` at 41 angles from 0 to ``pi - 1e-9`` and c = 40.5, 50.5, ...,
+80.5 they agree to 2e-14; at c = 85 the rim ``|z| = 5 + c`` of the series
+disk reaches 3.6e-13, and 2.5e-11 at c = 90, where the table
+``1/Gamma(c + k + 1)`` underflows.  Near the negative axis at ``|z| = 40
+.. 44`` and c < 0 the fraction runs out of steps but stays within 1e-13.
 
 Zeros of ``E_c`` are isolated by the argument principle on bisected
 rectangles (Delves & Lyness 1967).  As soon as a rectangle winds once,
@@ -66,9 +70,10 @@ CF_ANGLE = 2.5
 # nearer the origin the fraction converges falsely once c passes ~10, and
 # past it exp(z) z^(-c) - E_c cancels near the positive axis
 CF_RADIUS = 1.0
-CF_MAX_TERMS = 2000      # the slowest point, |z| = 1 at the wedge edge, takes ~770 steps
-KUMMER_RADIUS = 40.0     # past it the inverse-power sum is exact to rounding
-ASYMPTOTIC_MAX_TERMS = 30
+# for c < 0 the fraction meets no stop test near the negative axis at |z| ~ 40;
+# elsewhere the slowest point, |z| = 1 at the wedge edge, takes ~790 steps
+CF_MAX_TERMS = 2000
+KUMMER_RADIUS = 40.0     # past it the fraction serves the negative axis too
 EPS = float(np.finfo(float).eps)
 TINY = 1e-300            # Lentz's stand-in for a zero denominator
 
@@ -108,7 +113,9 @@ class FcEvaluator:
         self.c = c
         self._radius = SERIES_RADIUS + abs(c)
         self._cf_radius = CF_RADIUS + max(c, 0.0)
-        self._alphas = rgamma(c + 1.0 - np.arange(1, ASYMPTOTIC_MAX_TERMS + 1))
+        # 1/Gamma(c) stays a numpy float64: a Python float would move the bits
+        # of every quotient by it
+        self._rgamma_c = rgamma(c)
         k = np.arange(SERIES_MAX_TERMS)
         self._rgammas = rgamma(c + 1.0 + k)
         # Kummer's coefficients as (c)_k/k! times 1/Gamma(c + k + 1): finite
@@ -120,11 +127,9 @@ class FcEvaluator:
         zeta = complex(zeta)
         if abs(zeta) <= self._radius:
             return self._series(self._rgammas, zeta)
-        if abs(cmath.phase(zeta)) <= CF_ANGLE:
-            return cmath.exp(zeta) * zeta ** (-self.c) - self._fraction(zeta)
-        if abs(zeta) < KUMMER_RADIUS:
+        if abs(zeta) < KUMMER_RADIUS and abs(cmath.phase(zeta)) > CF_ANGLE:
             return cmath.exp(zeta) * self._series(self._kummer, -zeta)
-        return cmath.exp(zeta) * zeta ** (-self.c) - self._asymptotic(zeta)
+        return cmath.exp(zeta) * zeta ** (-self.c) - self._fraction(zeta)
 
     def entire_deriv(self, zeta: complex) -> complex:
         """E_c'(zeta), from ``zeta E_c' = (zeta - c) E_c + 1/Gamma(c)``.
@@ -135,14 +140,15 @@ class FcEvaluator:
         if zeta == 0:
             return complex(self._rgammas[1])
         e = self.entire(zeta)
-        return e + (self._alphas[0] - self.c * e) / zeta
+        return e + (self._rgamma_c - self.c * e) / zeta
 
     def f(self, zeta: complex) -> complex:
         """f_c(zeta) off the closed negative real axis."""
         zeta = complex(zeta)
         if zeta == 0 or (zeta.imag == 0.0 and zeta.real < 0.0):
             raise OnNegativeAxis(f"f_c is not defined at {zeta}")
-        if abs(zeta) >= self._cf_radius and abs(cmath.phase(zeta)) <= CF_ANGLE:
+        if abs(zeta) >= self._cf_radius and (
+                abs(cmath.phase(zeta)) <= CF_ANGLE or abs(zeta) >= KUMMER_RADIUS):
             return self._fraction(zeta)
         return cmath.exp(zeta) * zeta ** (-self.c) - self.entire(zeta)
 
@@ -183,22 +189,7 @@ class FcEvaluator:
             g *= delta
             if abs(delta - 1.0) <= EPS:
                 break
-        return self._alphas[0] / g
-
-    def _asymptotic(self, zeta: complex) -> complex:
-        """Optimally truncated inverse-power sum; stops at the smallest term."""
-        acc = 0j
-        best = math.inf
-        invz = 1.0 / zeta
-        p = invz
-        for i in range(1, ASYMPTOTIC_MAX_TERMS + 1):
-            t = self._alphas[i - 1] * p
-            if abs(t) > best:
-                break
-            best = abs(t)
-            acc += t
-            p *= invz
-        return acc
+        return self._rgamma_c / g
 
 
 @functools.cache
@@ -231,7 +222,8 @@ def _boundary_winding(ev: FcEvaluator, x0, x1, y0, y1) -> int:
     """Winding number of E_c along the rectangle boundary.
 
     Samples adaptively until consecutive phase steps are < pi/2, raising
-    ContourThroughZero when |E_c| collapses on the contour.
+    ContourThroughZero on a zero sample, on a phase step still untracked
+    after 52 halvings, or on a total that is not an integer.
     """
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     pts = []
@@ -244,13 +236,9 @@ def _boundary_winding(ev: FcEvaluator, x0, x1, y0, y1) -> int:
         pts += (a + (b - a) * (np.arange(m) / m)).tolist()
     vals = [ev.entire(p) for p in pts]
 
-    def local_scale(p):
-        # natural magnitude of E_c: the exponential part plus the tail part
-        return math.exp(p.real) * max(abs(p), 1e-6) ** (-ev.c) + 1.0 / max(abs(p), 1.0)
-
     def refine(pa, pb, va, vb, depth):
-        if abs(va) < 1e-12 * local_scale(pa) or abs(vb) < 1e-12 * local_scale(pb):
-            raise ContourThroughZero(f"|E_c| ~ 0 on the contour near {pa}")
+        if va == 0 or vb == 0:
+            raise ContourThroughZero(f"E_c = 0 on the contour near {pa}")
         d = cmath.phase(vb / va)
         # a small phase step alone is not safe: passing near a zero can
         # wrap the phase by a full turn, so also require a tame modulus

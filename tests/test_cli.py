@@ -53,9 +53,9 @@ def test_thin_region_levels(tmp_path):
 
 
 def test_chain_constant_out_of_range_exit_code(tmp_path, capsys):
-    # Gamma(100) (1 - |a|^2)^(-99) overflows, so the constant would read 0
+    # Gamma(85) (1 - |a|^2)^(-84) ~ 1e353 overflows, so the constant would read 0
     p = tmp_path / "edge.json"
-    p.write_text(json.dumps({"a": [[0.995, 0.0]], "c": [100.0], "n": 16}))
+    p.write_text(json.dumps({"a": [[0.999, 0.0]], "c": [85.0], "n": 16}))
     assert main(["levels", str(p)]) == 4
     assert "ChainConstantOutOfRange" in capsys.readouterr().err
 
@@ -104,7 +104,7 @@ def test_curve_points_inside_disk(pair_cfg_path, tmp_path):
 
 def test_asymp_points_csv(single_cfg_path, tmp_path):
     pts = tmp_path / "pts.csv"
-    pts.write_text("re,im\n1.5,0.3\n0.2,0.1\n")
+    pts.write_text("re,im\n1.5,0.3\n\n0.2,0.1\n")  # the blank line is skipped
     out = str(tmp_path / "vals.csv")
     assert main(["asymp", single_cfg_path, "--mode", "region",
                  "--points", str(pts), "--out", out]) == 0
@@ -112,6 +112,14 @@ def test_asymp_points_csv(single_cfg_path, tmp_path):
     assert lines[0] == "re,im,value_re,value_im,label,formula_used"
     assert len(lines) == 3
     assert lines[1].endswith("region")
+
+
+def test_asymp_points_short_row_is_refused(single_cfg_path, tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("re,im\n1.5,0.3\n\n0.5\n0.2,0.1\n")
+    assert main(["asymp", single_cfg_path, "--points", str(pts),
+                 "--out", str(tmp_path / "vals.csv")]) == 2
+    assert "line 4 of points file" in capsys.readouterr().err
 
 
 def test_asymp_modes(single_cfg_path, tmp_path):
@@ -198,6 +206,14 @@ def test_oracle_past_factorial_limit_exit_code(tmp_path, capsys):
     assert "IllConditioned" in capsys.readouterr().err
 
 
+def test_fc_zeros_box_without_zeros(tmp_path):
+    # |E_20| ~ 1/Gamma(21) on this box: no zero, not a contour through one
+    out = str(tmp_path / "z.csv")
+    assert main(["fc-zeros", "--c", "20", "--box", "-1", "1", "5", "8",
+                 "--out", out]) == 0
+    assert open(out).read().splitlines() == ["re,im,abs_Ec"]
+
+
 def test_fc_zeros_multiple_zero_at_nonpositive_integer(tmp_path, capsys):
     out = str(tmp_path / "z.csv")
     assert main(["fc-zeros", "--c", "-3", "--box", "-10", "10", "-10", "10",
@@ -259,6 +275,9 @@ def test_levels_manifest_beside_out(single_cfg_path, tmp_path):
     "levels {c1000}",
     "asymp {c1000} --out {out}",
     "levels {c200}",
+    "fc --c 85.5 --out {out}",
+    "levels {c86}",
+    "asymp {cfg} --points {short_row} --out {out}",
 ])
 def test_bad_input_exit_code(argv, single_cfg_path, tmp_path, capsys):
     text = open(single_cfg_path).read()
@@ -272,9 +291,14 @@ def test_bad_input_exit_code(argv, single_cfg_path, tmp_path, capsys):
     c1000.write_text(json.dumps({"a": [[A1, 0.0]], "c": [1000.0], "n": 16}))
     c200 = tmp_path / "c200.json"
     c200.write_text(json.dumps({"a": [[0.5, -0.5]], "c": [200.0], "n": 16}))
+    c86 = tmp_path / "c86.json"
+    c86.write_text(json.dumps({"a": [[0.5, -0.5]], "c": [86.0], "n": 16}))
+    short_row = tmp_path / "short_row.csv"
+    short_row.write_text("re,im\n0.2,0.1\n\n0.5\n")
     paths = {"cfg": single_cfg_path, "out": str(tmp_path / "out.csv"),
              "missing": str(tmp_path / "missing.json"),
              "truncated": str(truncated), "bad_points": str(bad_points),
-             "nan_points": str(nan_points), "c1000": str(c1000), "c200": str(c200)}
+             "nan_points": str(nan_points), "c1000": str(c1000), "c200": str(c200),
+             "c86": str(c86), "short_row": str(short_row)}
     assert main(argv.format(**paths).split()) == 2
     assert capsys.readouterr().err.startswith("invalid configuration")

@@ -46,9 +46,9 @@ def test_rejection_is_total():
 
 
 def test_exponent_bound():
-    # Gamma(c + 1) leaves the double range just past c = 170
+    # past c = 85 the series for E_c loses digits to 1/Gamma(c + k + 1) underflowing
     assert validate_config(Configuration(a=(0.5,), c=(MAX_EXPONENT,), n=4, N=None))
-    for c in (170.5, 1000.0, 1e300):
+    for c in (85.5, 170.5, 1000.0, 1e300):
         with pytest.raises(BadExponent):
             validate_config(Configuration(a=(0.5,), c=(c,), n=4, N=None))
 

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import gamma
 
 from mszego import specfun
+from mszego.core import MAX_EXPONENT
 from mszego.specfun import (ContourThroughZero, E_c, FcEvaluator,
                             OnNegativeAxis, alpha, f_c, f_c_sides, zeros_E_c)
 
@@ -197,6 +198,33 @@ def test_far_entire_and_derivative_against_mpmath(c):
         assert abs(ev.entire_deriv(z) - want) <= 1e-13 * abs(want), (c, z)
 
 
+@pytest.mark.parametrize("c", [40.5, 80.5, MAX_EXPONENT])
+def test_past_the_series_disk_near_the_negative_axis(c):
+    # an inverse-power sum cut at 30 terms was 3e-9 off at these points for
+    # c = 40.5 and 2e-6 for c = 80.5; at c = MAX_EXPONENT the rim |z| = 5 + c
+    # of the series disk is the worst point of the plane (3.6e-13)
+    ev = FcEvaluator(c)
+    for r in np.linspace(5.0 + c, 2.0 * c, 6):
+        for theta in (2.6, 2.8, 3.0, 3.1, math.pi - 1e-9):
+            z = r * cmath.exp(1j * theta)
+            E, f = _mp_reference(z, c)
+            assert abs(ev.entire(z) - E) <= 5e-13 * abs(E), (c, z)
+            assert abs(ev.f(z) - f) <= 5e-13 * abs(f), (c, z)
+
+
+@pytest.mark.parametrize("c", [-0.99, -0.5])
+def test_slowest_points_of_the_fraction(c):
+    # for c < 0 the fraction runs to CF_MAX_TERMS without meeting its stop
+    # test near the negative axis at |z| = 40 .. 44
+    ev = FcEvaluator(c)
+    for r in (40.0, 41.0, 44.0):
+        for theta in (3.05, math.pi - 1e-9):
+            z = r * cmath.exp(1j * theta)
+            E, f = _mp_reference(z, c)
+            assert abs(ev.entire(z) - E) <= 5e-13 * abs(E), (c, z)
+            assert abs(ev.f(z) - f) <= 5e-13 * abs(f), (c, z)
+
+
 def _count_windings(monkeypatch):
     calls = []
     winding = specfun._boundary_winding
@@ -282,6 +310,30 @@ def test_contour_through_zero_raises():
     # the unit-exponent zeros sit exactly on the imaginary axis
     with pytest.raises(ContourThroughZero):
         zeros_E_c(1.0, (0.0, 1.0, 5.0, 8.0))
+
+
+def _mp_winding(c, box, h=0.1):
+    """Winding number of E_c on the boundary of ``box``, sampled every ~h in mpmath."""
+    mp = pytest.importorskip("mpmath")
+    x0, x1, y0, y1 = box
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    pts = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        m = math.ceil(abs(b - a) / h)
+        pts += [a + (b - a) * j / m for j in range(m)]
+    with mp.workdps(30):
+        vals = [complex(mp.hyp1f1(1, c + 1, p)) for p in pts]
+    steps = [cmath.phase(w / v) for v, w in zip(vals, vals[1:] + vals[:1])]
+    assert max(map(abs, steps)) < 0.5  # the sampling resolves the phase
+    return round(sum(steps) / (2 * math.pi))
+
+
+def test_no_zeros_where_E_c_is_tiny():
+    # |E_20| ~ 1/Gamma(21) ~ 4e-19 on the first box; neither box is refused
+    # for the size of E_c
+    for box in ((-1.0, 1.0, 5.0, 8.0), (-30.0, 10.0, 0.5, 40.0)):
+        assert zeros_E_c(20.0, box) == []
+        assert _mp_winding(20.0, box) == 0
 
 
 def test_unit_exponent_zeros_are_exact():

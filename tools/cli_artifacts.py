@@ -103,13 +103,19 @@ def commands(out: str, cfgs: dict[str, str]):
     for c in ("0.5", "1", "2.5", "-0.5"):
         name = f"fc_{c}"
         yield name, ["fc", "--c", c, "--out", path(name + ".csv")]
-    # out to |z| = 64, so that every route of the evaluator serves some point
+    # out to |z| = 64, past KUMMER_RADIUS, so that each of the three routes of
+    # the evaluator serves some point
     yield "fc_0.5_extent45", ["fc", "--c", "0.5", "--extent", "45",
                               "--out", path("fc_0.5_extent45.csv")]
+    # a large exponent just past its series disk near the negative axis
+    yield "fc_40.5_extent60", ["fc", "--c", "40.5", "--extent", "60",
+                               "--out", path("fc_40.5_extent60.csv")]
     zero_runs = [("1", ("-2", "6", "0.5", "25"))]
     zero_runs += [(c, ("-6", "20", "-21", "21")) for c in ("0.5", "-0.5", "1.3")]
     zero_runs += [("2", ("-10.5", "10.5", "-10.5", "10.5")), ("1", ("1", "-1", "5", "8"))]
     zero_runs += [("1", ("-0.2", "5", "6", "12")), ("1", ("-1", "1", "5", "34"))]
+    # no zero, and |E_c| ~ 1/Gamma(21) on the whole box
+    zero_runs += [("20", ("-1", "1", "5", "8"))]
     for c, box in zero_runs:
         name = f"fc_zeros_{c}_{'_'.join(box)}"
         yield name, ["fc-zeros", "--c", c, "--box", *box, "--out", path(name + ".csv")]
