@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import gamma as _gamma
+import numpy as np
 
 from .branches import BranchContext
 from .core import Configuration
@@ -25,6 +25,12 @@ __all__ = ["AsymptoticModel", "ChainConstantOutOfRange", "build_model", "chain_c
 
 DISK_RADIUS_FACTOR = 0.3
 DEFAULT_TAU = 40.0
+
+
+def _gamma(x: float) -> np.float64:
+    # a numpy float64: a Python float would change the complex division by it
+    # and move the bits of the chain constants
+    return np.float64(math.gamma(x))
 
 
 class ChainConstantOutOfRange(ArithmeticError):
@@ -184,9 +190,10 @@ def build_model(config: Configuration,
     if branch is None:
         branch = BranchContext(config)
     try:
-        consts = tuple(chain_constant(config, structure, branch, j)
-                       for j in range(1, config.nu + 1))
-    except OverflowError as exc:
+        with np.errstate(over="raise"):
+            consts = tuple(chain_constant(config, structure, branch, j)
+                           for j in range(1, config.nu + 1))
+    except (OverflowError, FloatingPointError) as exc:
         raise ChainConstantOutOfRange(f"a chain constant overflows: {exc}") from exc
     for j, v in enumerate(consts, start=1):
         if v == 0 or not cmath.isfinite(v):

@@ -13,26 +13,31 @@ of exp divided by ``z^c``.  Through the incomplete gamma function,
 Each point takes one of three routes, chosen from the point alone.  A
 route gives one of the two functions and the link above gives the other:
 
-* the series above gives ``E_c`` in the disk ``|z| <= SERIES_RADIUS + |c|``;
 * Kummer's series ``E_c = exp(z)/Gamma(c) sum (-z)^k / ((c + k) k!)``
-  gives ``E_c`` past the disk near the negative axis,
-  ``|arg z| > CF_ANGLE`` and ``|z| < KUMMER_RADIUS``; its terms do not
-  cancel there and it is real on the axis;
+  gives ``E_c`` near the negative axis, ``|arg z| > CF_ANGLE``, from
+  ``|z| >= CF_RADIUS + max(c, 0)`` out to ``KUMMER_RADIUS``; its terms do
+  not cancel there and it is real on the axis.  It serves only while the
+  series disk below ends inside ``KUMMER_RADIUS`` (c < 35);
+* the series above gives ``E_c`` in the rest of the disk
+  ``|z| <= SERIES_RADIUS + |c|``;
 * Legendre's continued fraction for ``Gamma(c, z)``, by the modified
   Lentz method (Thompson & Barnett 1986), gives ``f_c`` everywhere else
-  past the disk, and ``f_c`` alone takes it wherever Kummer's series does
-  not serve, from ``|z| >= CF_RADIUS + max(c, 0)`` on.
+  past the disk; ``f_c`` alone takes it inside the disk too, in
+  ``|arg z| <= CF_ANGLE`` and past ``KUMMER_RADIUS``, from
+  ``|z| >= CF_RADIUS + max(c, 0)`` on.
 
-On 48-point rings ``|z| = 0.5 .. 35`` at c = -0.5, 0.5, 1, 1.3, 2, 2.5,
-3, 5.5 and 10.5 both functions agree with 40-digit values to a relative
-5e-13.  The worst points lie just past the wedge, where Kummer's series
-loses about ``exp(|z| (1 + cos CF_ANGLE))`` ulps.  At c = -0.9 the series
-disk reaches 1.5e-12 near the negative axis.  On rings ``|z| = 0.5 ..
-2c + 20`` at 41 angles from 0 to ``pi - 1e-9`` and c = 40.5, 50.5, ...,
-80.5 they agree to 2e-14; at c = 85 the rim ``|z| = 5 + c`` of the series
-disk reaches 3.6e-13, and 2.5e-11 at c = 90, where the table
-``1/Gamma(c + k + 1)`` underflows.  Near the negative axis at ``|z| = 40
-.. 44`` and c < 0 the fraction runs out of steps but stays within 1e-13.
+On 48-point rings ``|z| = 0.5 .. 35`` at c = -0.99, -0.9, -0.5, 0.5, 1,
+1.3, 2, 2.5, 3, 5.5 and 10.5 both functions agree with 40-digit values
+to a relative 5.5e-13.  The worst points lie just past the wedge, where
+Kummer's series loses about ``exp(|z| (1 + cos CF_ANGLE))`` ulps.  For c
+in (-1, -0.5) the series still cancels between ``|arg z| = 2`` and
+``CF_ANGLE`` inside its disk: 2.1e-12 at c = -0.99, 2.6e-12 at c = -0.9.
+On rings ``|z| = 0.5 .. 2c + 20`` at 41 angles from 0 to ``pi - 1e-9``
+and c = 40.5, 50.5, ..., 80.5 they agree to 2e-14; at c = 85 the rim
+``|z| = 5 + c`` of the series disk reaches 3.6e-13, and 2.5e-11 at c = 90,
+where the table ``1/Gamma(c + k + 1)`` runs past the overflow of Gamma.
+Near the negative axis at ``|z| = 40 .. 44`` and c < 0 the fraction runs
+out of steps but stays within 1e-13.
 
 Zeros of ``E_c`` are isolated by the argument principle on bisected
 rectangles (Delves & Lyness 1967).  As soon as a rectangle winds once,
@@ -48,7 +53,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import rgamma
 
 __all__ = [
     "OnNegativeAxis",
@@ -76,6 +80,7 @@ CF_MAX_TERMS = 2000
 KUMMER_RADIUS = 40.0     # past it the fraction serves the negative axis too
 EPS = float(np.finfo(float).eps)
 TINY = 1e-300            # Lentz's stand-in for a zero denominator
+GAMMA_MAX_ARG = 171.6243769563027  # the largest x with Gamma(x) a finite double
 
 
 class OnNegativeAxis(Exception):
@@ -84,6 +89,20 @@ class OnNegativeAxis(Exception):
 
 class ContourThroughZero(Exception):
     """A counting rectangle passed too close to a zero; jitter the box."""
+
+
+def rgamma(x) -> np.ndarray:
+    """1/Gamma(x) elementwise, exactly 0.0 at the poles and past GAMMA_MAX_ARG.
+
+    The poles are x = 0, -1, -2, ...; far down the negative axis, where
+    Gamma underflows to zero, the reciprocal is infinite.
+    """
+    x = np.asarray(x, dtype=float)
+    live = (x <= GAMMA_MAX_ARG) & ((x > 0.0) | (x != np.floor(x)))
+    out = np.zeros(x.shape)
+    with np.errstate(divide="ignore"):
+        out[live] = 1.0 / np.fromiter(map(math.gamma, x[live].tolist()), float)
+    return out
 
 
 def alpha(i: int, c: float) -> float:
@@ -113,9 +132,13 @@ class FcEvaluator:
         self.c = c
         self._radius = SERIES_RADIUS + abs(c)
         self._cf_radius = CF_RADIUS + max(c, 0.0)
+        # Kummer's series loses up to exp(|z| (1 + cos CF_ANGLE)) ulps; where the
+        # series disk reaches KUMMER_RADIUS (c >= 35) the series, which cancels
+        # only for small c, serves the whole disk instead
+        self._kummer_radius = KUMMER_RADIUS if self._radius < KUMMER_RADIUS else 0.0
         # 1/Gamma(c) stays a numpy float64: a Python float would move the bits
         # of every quotient by it
-        self._rgamma_c = rgamma(c)
+        self._rgamma_c = rgamma(c)[()]
         k = np.arange(SERIES_MAX_TERMS)
         self._rgammas = rgamma(c + 1.0 + k)
         # Kummer's coefficients as (c)_k/k! times 1/Gamma(c + k + 1): finite
@@ -125,10 +148,11 @@ class FcEvaluator:
     def entire(self, zeta: complex) -> complex:
         """E_c(zeta): everywhere-continuous companion of exp(z)/z^c."""
         zeta = complex(zeta)
+        if (self._cf_radius <= abs(zeta) < self._kummer_radius
+                and abs(cmath.phase(zeta)) > CF_ANGLE):
+            return cmath.exp(zeta) * self._series(self._kummer, -zeta)
         if abs(zeta) <= self._radius:
             return self._series(self._rgammas, zeta)
-        if abs(zeta) < KUMMER_RADIUS and abs(cmath.phase(zeta)) > CF_ANGLE:
-            return cmath.exp(zeta) * self._series(self._kummer, -zeta)
         return cmath.exp(zeta) * zeta ** (-self.c) - self._fraction(zeta)
 
     def entire_deriv(self, zeta: complex) -> complex:

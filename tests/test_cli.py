@@ -1,9 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import mszego
 from mszego.cli import main
 
 from conftest import A1, NON_GENERIC_A, THIN_REGION_A
@@ -56,8 +60,39 @@ def test_chain_constant_out_of_range_exit_code(tmp_path, capsys):
     # Gamma(85) (1 - |a|^2)^(-84) ~ 1e353 overflows, so the constant would read 0
     p = tmp_path / "edge.json"
     p.write_text(json.dumps({"a": [[0.999, 0.0]], "c": [85.0], "n": 16}))
-    assert main(["levels", str(p)]) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["levels", str(p)]) == 4
     assert "ChainConstantOutOfRange" in capsys.readouterr().err
+
+
+IMPORT_PATH = """
+import sys
+import mszego.cli
+from mszego.asym import build_model
+from mszego.core import Configuration, validate_config
+from mszego.oracle import exact_moments, monic_op, quad_moments, roots
+from mszego.specfun import FcEvaluator, zeros_E_c
+
+build_model(validate_config(Configuration(
+    a=(0.74 + 0.2j, 0.41 - 0.03j), c=(0.7, 1.4), n=24, N=None)))
+FcEvaluator(0.5).f(2.0 + 1.0j)
+zeros_E_c(1.0, (-2, 6, 0.5, 25))
+pair = validate_config(Configuration(a=(0.5 - 0.5j, -0.25 - 0.5j), c=(1.0, 1.0), n=16, N=None))
+roots(monic_op(exact_moments(pair), pair.n))
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+quad_moments(validate_config(Configuration(a=(0.6,), c=(0.5,), n=2, N=None)))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_only_quadrature_imports_scipy():
+    # scipy.special alone doubles the start-up time of every command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mszego.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", IMPORT_PATH], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[:2] == ["[]", "True"]
 
 
 def test_levels_json(single_cfg_path, capsys):

@@ -225,6 +225,45 @@ def test_slowest_points_of_the_fraction(c):
             assert abs(ev.f(z) - f) <= 5e-13 * abs(f), (c, z)
 
 
+@pytest.mark.parametrize("c", [-0.99, -0.9, -0.5])
+def test_kummer_wedge_inside_the_series_disk(c):
+    # near the negative axis the series sum z^k / Gamma(c + k + 1) cancels
+    # terms of size ~exp(|z|) down to E_c ~ 1/(Gamma(c) |z|), which is small as
+    # c nears -1: it was 9e-12 off at c = -0.99 where Kummer's series is within 1e-14
+    ev = FcEvaluator(c)
+    for r in np.linspace(0.5, 5.0 + abs(c), 8):
+        for theta in np.linspace(specfun.CF_ANGLE + 1e-9, math.pi - 1e-9, 7):
+            z = r * cmath.exp(1j * theta)
+            E, f = _mp_reference(z, c)
+            assert abs(ev.entire(z) - E) <= 5e-13 * abs(E), (c, z)
+            assert abs(ev.f(z) - f) <= 5e-13 * abs(f), (c, z)
+
+
+@pytest.mark.parametrize("c", [-0.99, -0.5, 0.5, 1.0, 1.3, 2.5, 40.5, MAX_EXPONENT])
+def test_reciprocal_gamma_table_against_mpmath(c):
+    mp = pytest.importorskip("mpmath")
+    ev = FcEvaluator(c)
+    # a Python float in place of the numpy scalar moves the bits of f_c
+    assert type(ev._rgamma_c) is np.float64
+    x = c + 1.0 + np.arange(specfun.SERIES_MAX_TERMS)
+    with mp.workdps(40):
+        for xk, got in zip(x.tolist(), ev._rgammas.tolist()):
+            if xk > specfun.GAMMA_MAX_ARG:
+                assert got == 0.0, xk
+                continue
+            want = float(mp.rgamma(xk))
+            # past x ~ 170.6 the value is subnormal: one ulp of slack there
+            assert abs(got - want) <= 1e-15 * abs(want) + 5e-324, xk
+
+
+def test_reciprocal_gamma_edges():
+    assert np.all(specfun.rgamma([0.0, -0.0, -1.0, -2.0, -50.0]) == 0.0)
+    assert np.all(specfun.rgamma([171.625, 172.0, 200.0, 485.0]) == 0.0)
+    assert specfun.rgamma(specfun.GAMMA_MAX_ARG) > 0.0
+    assert specfun.rgamma(np.nextafter(specfun.GAMMA_MAX_ARG, math.inf)) == 0.0
+    assert specfun.rgamma(1.0) == 1.0 and specfun.rgamma(-0.5) < 0.0
+
+
 def _count_windings(monkeypatch):
     calls = []
     winding = specfun._boundary_winding

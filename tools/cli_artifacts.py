@@ -110,6 +110,10 @@ def commands(out: str, cfgs: dict[str, str]):
     # a large exponent just past its series disk near the negative axis
     yield "fc_40.5_extent60", ["fc", "--c", "40.5", "--extent", "60",
                                "--out", path("fc_40.5_extent60.csv")]
+    # the largest exponent out to the rim |z| = 90 of its series disk, where
+    # the table 1/Gamma(c + k + 1) runs past the overflow of Gamma
+    yield "fc_85_extent95", ["fc", "--c", "85", "--extent", "95",
+                             "--out", path("fc_85_extent95.csv")]
     zero_runs = [("1", ("-2", "6", "0.5", "25"))]
     zero_runs += [(c, ("-6", "20", "-21", "21")) for c in ("0.5", "-0.5", "1.3")]
     zero_runs += [("2", ("-10.5", "10.5", "-10.5", "10.5")), ("1", ("1", "-1", "5", "8"))]
