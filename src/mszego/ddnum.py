@@ -8,7 +8,9 @@ and quotients split a value into its parts.  Products use Dekker
 splitting (no FMA assumed); every step is one IEEE operation, so an
 array call gives the bits of the scalar calls.  Only what the moment
 oracle needs is implemented: field operations, square root, rounding,
-a Hermitian Cholesky solve and polynomial evaluation.
+a Hermitian Cholesky solve and polynomial evaluation, at one point
+(``horner``, on Python scalars) or for several polynomials at many
+points in one pass (``horner_stack``, on real arrays).
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ def _quick_sum(a, b):
     return s, b - (s - a)
 
 
+def _split(a):
+    """Dekker's split of a into two halves of at most 26 significant bits."""
+    ca = _SPLIT * a
+    ahi = ca - (ca - a)
+    return ahi, a - ahi
+
+
 def _two_prod(a, b):
+    # the splits are written out: on Python scalars calls cost more than the arithmetic
     p = a * b
     ca = _SPLIT * a
     ahi = ca - (ca - a)
@@ -151,7 +161,7 @@ def poly_mul(p, q):
 
 
 def horner(coeffs, z):
-    """Evaluate a polynomial at a complex point or an array of points.
+    """Evaluate a polynomial at one complex point.
 
     ``coeffs`` is a pair of ascending coefficient sequences (hi, lo).
     """
@@ -161,6 +171,38 @@ def horner(coeffs, z):
     for k in reversed(range(len(hi))):
         acc = add(cmul(acc, z), (hi[k], lo[k]))
     return acc
+
+
+def horner_stack(coeffs, z):
+    """Evaluate P polynomials at the same points, with the bits of ``horner``.
+
+    ``coeffs`` is a pair (hi, lo) of complex (P, d + 1) arrays, ascending;
+    zero leading coefficients pad a shorter polynomial and move no bit.
+    Returns the (hi, lo) pair of complex arrays of shape (P,) + z.shape.
+    The parts (re, im) run as one real (P, 2, 1, m) array times
+    ((zr, zi), (zi, zr)), so each step of ``cmul`` is one numpy call over
+    its four partial products.  z is split once, and its zero low part
+    is dropped from the products: the error of ``_two_prod`` is never
+    -0.0, so adding +-0 to it moves no bit.
+    """
+    z = np.asarray(z, dtype=complex)
+    y = np.stack([z.real, z.imag, z.imag, z.real]).reshape(2, 2, -1)
+    yh, yl = _split(y)
+    sign = np.array([[-1.0], [1.0]])       # re*zr - im*zi, re*zi + im*zr
+    # one (P, 2, 1) block of real and imaginary parts per power, descending
+    hi, lo = (np.moveaxis(np.stack([c.real, c.imag], axis=1), 2, 0)[::-1, ..., None]
+              for c in coeffs)
+    acc = np.zeros((2,) + hi.shape[1:3] + y.shape[2:])
+    for c in zip(hi, lo):
+        x_hi, x_lo = acc[0][:, :, None], acc[1][:, :, None]
+        p = x_hi * y
+        xh, xl = _split(x_hi)
+        e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+        e += x_lo * y
+        p, e = _quick_sum(p, e)
+        acc = add(add((p[:, 0], e[:, 0]), (sign * p[:, 1], sign * e[:, 1])), c)
+    out = _join((acc[0][:, 0], acc[1][:, 0]), (acc[0][:, 1], acc[1][:, 1]))
+    return tuple(part.reshape(hi.shape[1:2] + z.shape) for part in out)
 
 
 def cholesky_solve_hermitian(A, rhs, band: int):

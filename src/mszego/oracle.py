@@ -6,11 +6,16 @@ moments) or by polar quadrature (any exponents), the monic polynomial
 comes from the Hermitian Gram solve, and roots from simultaneous
 Aberth-Ehrlich iteration finished in double-double.  Both moment methods
 carry moments and coefficients in double-double precision (``ddnum``) so
-that degrees past ~20 keep usable orthogonality residuals.
+that degrees past ~20 keep usable orthogonality residuals.  Each Aberth
+sweep evaluates p and p' in one stacked pass: ``np.polyval``'s steps in
+the double stage, ``ddnum.horner_stack`` in the double-double one.  The
+Gram condition number, an SVD, is computed when it is first read, except
+that the quadrature path checks it before its solve.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -86,8 +91,13 @@ class MonicPolynomial:
     degree: int
     coeffs: np.ndarray             # ascending, length degree+1, leading 1
     h_n: float
-    cond_estimate: float           # cond(D^-1/2 H D^-1/2), H the Gram matrix, D = diag(H)
     coeffs_lo: np.ndarray          # low parts of the double-double coefficients
+    gram: np.ndarray               # the rounded Gram block <z^j, z^k>, j, k < degree
+
+    @functools.cached_property
+    def cond_estimate(self) -> float:
+        """cond(D^-1/2 H D^-1/2), H the Gram block, D = diag(H); on first read."""
+        return _scaled_cond(self.gram)
 
 
 @dataclass(frozen=True)
@@ -342,6 +352,17 @@ def quad_moments(config: Configuration) -> MomentMatrix:
 # the Gram solve
 
 
+def _scaled_cond(H: np.ndarray) -> float:
+    """Condition of H after diagonal scaling; the raw one mostly measures m!/N^m."""
+    d = H.diagonal().real
+    if not np.all(d > 0):
+        return math.inf
+    if d.size == 0:
+        return 1.0
+    s = np.sqrt(d)
+    return float(np.linalg.cond(H / np.outer(s, s)))
+
+
 def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
     """Monic degree-n polynomial orthogonal to 1, z, ..., z^(n-1).
 
@@ -353,21 +374,18 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
     if n + 1 > moments.size:
         raise ValueError(f"moment matrix of size {moments.size} cannot build degree {n}")
     hi, lo = moments.entries, moments.entries_lo
+    gram = hi[:n, :n]
     if n == 0:
-        return MonicPolynomial(0, np.array([1.0 + 0j]), float(hi[0, 0].real), 1.0,
-                               coeffs_lo=np.zeros(1, dtype=complex))
-    # condition after diagonal scaling; the raw one mostly measures m!/N^m
-    d = hi.diagonal()[:n].real
-    cond = math.inf
-    if np.all(d > 0):
-        s = np.sqrt(d)
-        cond = float(np.linalg.cond(hi[:n, :n] / np.outer(s, s)))
-    if moments.method == "quadrature" and cond > 1e13:
-        raise IllConditioned(
-            f"quadrature Gram solve at degree {n} has condition ~{cond:.2e}; "
-            "use the exact-moment path", cond)
+        return MonicPolynomial(0, np.array([1.0 + 0j]), float(hi[0, 0].real),
+                               np.zeros(1, dtype=complex), gram)
+    if moments.method == "quadrature":
+        cond = _scaled_cond(gram)
+        if cond > 1e13:
+            raise IllConditioned(
+                f"quadrature Gram solve at degree {n} has condition ~{cond:.2e}; "
+                "use the exact-moment path", cond)
 
-    A = (hi[:n, :n].T, lo[:n, :n].T)
+    A = (gram.T, lo[:n, :n].T)
     rhs = dd.scale((hi[n, :n], lo[n, :n]), dd.dd(-1.0))
     try:
         x = dd.cholesky_solve_hermitian(A, rhs, band=moments.band)
@@ -376,14 +394,14 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
     coeffs = (np.append(x[0], 1.0), np.append(x[1], 0.0))
     h = float(_column_dots(coeffs, moments, slice(n, n + 1))[0].real)
     if not (h > 0):
-        raise IllConditioned(f"nonpositive norm h_n = {h}", cond)
-    return MonicPolynomial(n, coeffs[0], h, cond, coeffs_lo=coeffs[1])
+        raise IllConditioned(f"nonpositive norm h_n = {h}", _scaled_cond(gram))
+    return MonicPolynomial(n, coeffs[0], h, coeffs[1], gram)
 
 
 def poly_eval(poly: MonicPolynomial, z):
     """Evaluate through the double-double coefficients (cancellation-safe)."""
     if np.ndim(z):
-        return dd.value(dd.horner((poly.coeffs, poly.coeffs_lo), z))
+        return dd.value(dd.horner_stack((poly.coeffs[None], poly.coeffs_lo[None]), z))[0]
     # at one point, Python scalars run three times faster than numpy's
     return dd.value(dd.horner((poly.coeffs.tolist(), poly.coeffs_lo.tolist()), complex(z)))
 
@@ -415,21 +433,48 @@ def orthogonality_residuals(moments: MomentMatrix, poly: MonicPolynomial) -> np.
 def _aberth(z, newton, done):
     """Aberth-Ehrlich sweeps on all the points z at once.
 
-    ``newton(z)`` gives (p(z), p'(z)); the sweeps end after the one in
-    which ``done(z, p, corr)`` holds, or after ABERTH_MAX_SWEEPS.
+    ``newton(z)`` gives (p(z), p'(z), *extra); the sweeps end after the
+    one in which ``done(z, p, corr, *extra)`` holds, or after
+    ABERTH_MAX_SWEEPS.
     """
     off = np.eye(z.size)
     for _ in range(ABERTH_MAX_SWEEPS):
-        p, q = newton(z)
+        p, q, *extra = newton(z)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.where(q != 0, p / q, 0.0)
             S = np.sum(1.0 / (z[:, None] - z[None, :] + off), axis=1) - 1.0
             corr = w / (1.0 - w * S)
         corr = np.where(np.isfinite(corr), corr, 0.1 * (1 + np.abs(z)))
-        z, stop = z - corr, done(z, p, corr)
+        z, stop = z - corr, done(z, p, corr, *extra)
         if stop:
             break
     return z
+
+
+def _double_newton(b):
+    """z -> (p(z), p'(z), sum |b_k| |z|^k) for ascending coefficients b.
+
+    One loop of np.polyval's steps y = y*z + c runs p and p' stacked,
+    p' padded by a zero leading coefficient, which moves no bit.
+    """
+    desc = np.stack([b[::-1], np.append(0.0, (b[1:] * np.arange(1, len(b)))[::-1])])
+    terms = list(zip(desc.T[:, :, None], np.abs(b[::-1])))
+
+    def newton(z):
+        y, bound, r = np.zeros((2, z.size), dtype=complex), np.zeros(z.size), np.abs(z)
+        for c, m in terms:
+            y = y * z + c
+            bound = bound * r + m
+        return y[0], y[1], bound
+    return newton
+
+
+def _dd_newton(poly: MonicPolynomial):
+    """z -> (p(z), p'(z)) through the double-double coefficients, in one pass."""
+    b, lo = poly.coeffs, poly.coeffs_lo
+    dcoeffs = dd.scale((b[1:], lo[1:]), dd.dd(np.arange(1.0, poly.degree + 1)))
+    stack = tuple(np.stack([c, np.append(d, 0.0)]) for c, d in zip((b, lo), dcoeffs))
+    return lambda z: tuple(dd.value(dd.horner_stack(stack, z)))
 
 
 def roots(poly: MonicPolynomial):
@@ -455,15 +500,9 @@ def roots(poly: MonicPolynomial):
     angles = 2.0 * math.pi * (np.arange(n) + 0.35) / n + 0.42
     z = center + radius * np.exp(1j * angles)
 
-    desc, ddesc = b[::-1], (b[1:] * np.arange(1, n + 1))[::-1]
-    z = _aberth(z, lambda z: (np.polyval(desc, z), np.polyval(ddesc, z)),
-                lambda z, p, corr: np.all(np.abs(p) <= 8 * (n + 1) * eps
-                                          * np.polyval(np.abs(desc), np.abs(z))))
-
-    dcoeffs = dd.scale((b[1:], poly.coeffs_lo[1:]), dd.dd(np.arange(1.0, n + 1)))
-
-    def dd_newton(z):
-        return poly_eval(poly, z), dd.value(dd.horner(dcoeffs, z))
+    z = _aberth(z, _double_newton(b), lambda z, p, corr, bound:
+                np.all(np.abs(p) <= 8 * (n + 1) * eps * bound))
+    dd_newton = _dd_newton(poly)
 
     steps = []   # the largest relative correction of each double-double sweep
 

@@ -59,8 +59,6 @@ __all__ = [
     "ContourThroughZero",
     "FcEvaluator",
     "f_c",
-    "f_c_sides",
-    "alpha",
     "E_c",
     "zeros_E_c",
 ]
@@ -103,19 +101,6 @@ def rgamma(x) -> np.ndarray:
     with np.errstate(divide="ignore"):
         out[live] = 1.0 / np.fromiter(map(math.gamma, x[live].tolist()), float)
     return out
-
-
-def alpha(i: int, c: float) -> float:
-    """Coefficient of zeta^(-i) in the large-argument expansion of f_c.
-
-    Equals sin(c*pi) * Gamma(i-c) / (pi * (-1)^(i-1)), which the
-    reflection formula collapses to 1/Gamma(c+1-i); the reciprocal-gamma
-    form is finite for every (i, c) and vanishes exactly when c is an
-    integer with i > c.
-    """
-    if i < 1:
-        raise ValueError("expansion index starts at 1")
-    return float(rgamma(c + 1.0 - i))
 
 
 class FcEvaluator:
@@ -223,15 +208,6 @@ def _evaluator(c: float) -> FcEvaluator:
 
 def f_c(zeta: complex, c: float) -> complex:
     return _evaluator(c).f(zeta)
-
-
-def f_c_sides(x: float, c: float) -> tuple[complex, complex]:
-    """Both one-sided values of f_c at a point of the negative real axis."""
-    if x >= 0:
-        raise ValueError("sides are only reported on the negative real axis")
-    ev = _evaluator(c)
-    eps = 1e-8 * (1.0 + abs(x))
-    return ev.f(complex(x, eps)), ev.f(complex(x, -eps))
 
 
 def E_c(zeta: complex, c: float) -> complex:

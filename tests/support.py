@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: the
 truncated-exponential oracle integrates the defining contour integral
-directly, the crossing counter does raw segment/ray geometry, and the
+directly, the crossing counter does raw segment/ray geometry, the
 unit-exponent inner error comes from the closed-form polynomial in plain
-floats.
+floats, and the expansion coefficients of f_c come from math.gamma.
 """
 
 import math
@@ -37,6 +37,17 @@ def f_contour(zeta, c, r=None):
     vals = np.exp(s) * s ** (-c) / (s - zeta) * 1j * s
     circle = -(1 / (2j * math.pi)) * np.sum(ws * math.pi * vals)
     return line + circle
+
+
+def alpha(i, c):
+    """Coefficient of zeta^(-i) in the large-argument expansion of f_c.
+
+    Equals sin(c*pi) * Gamma(i-c) / (pi * (-1)^(i-1)), which the
+    reflection formula collapses to 1/Gamma(c+1-i); exactly 0.0 at the
+    poles, where c is an integer with i > c.
+    """
+    x = c + 1.0 - i
+    return 0.0 if x <= 0 and x == math.floor(x) else 1.0 / math.gamma(x)
 
 
 def crossing_sign(q0, q1, origin, direction):

@@ -31,11 +31,11 @@ from mszego.asym import build_model
 from mszego.oracle import (exact_moments, moments_max_reldiff, monic_op,
                            orthogonality_residuals, poly_eval, quad_moments,
                            root_curve_distance, roots)
-from mszego.specfun import E_c, FcEvaluator, alpha, f_c, zeros_E_c
+from mszego.specfun import E_c, FcEvaluator, f_c, zeros_E_c
 from mszego.szego import phi_L, solve_structure, trace_curve
 
 from conftest import A1
-from support import unit_point_inner_error
+from support import alpha, unit_point_inner_error
 from test_szego import random_generic_configs
 
 FIG4_A = (0.5 - 0.5j, -0.25 - 0.5j)

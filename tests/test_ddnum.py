@@ -126,8 +126,15 @@ def test_array_complex_product_and_horner_match_scalar_bits(rows, zs):
     want = [dd.cmul(c, dd.dd(z)) for c, z in zip(coeffs, points)]
     assert _bits(got[0]) == _bits([w[0] for w in want])
     assert _bits(got[1]) == _bits([w[1] for w in want])
-    scalar_coeffs = ([c[0] for c in coeffs], [c[1] for c in coeffs])
-    got = dd.horner(_pairs(coeffs), np.array(points))
-    want = [dd.horner(scalar_coeffs, z) for z in points]
-    assert _bits(got[0]) == _bits([w[0] for w in want])
-    assert _bits(got[1]) == _bits([w[1] for w in want])
+    # several polynomials in one pass: p, p reversed and p' padded by a zero
+    # leading coefficient, each against scalar horner on its own coefficients
+    deriv = [dd.scale(c, dd.dd(float(k))) for k, c in enumerate(coeffs)][1:]
+    polys = [coeffs, coeffs[::-1], deriv]
+    stacked = [poly + [(0j, 0j)] * (len(coeffs) - len(poly)) for poly in polys]
+    got = dd.horner_stack(tuple(np.array([[c[i] for c in poly] for poly in stacked])
+                                for i in (0, 1)), np.array(points))
+    for k, poly in enumerate(polys):
+        scalar_coeffs = ([c[0] for c in poly], [c[1] for c in poly])
+        want = [dd.horner(scalar_coeffs, z) for z in points]
+        assert _bits(got[0][k]) == _bits([w[0] for w in want])
+        assert _bits(got[1][k]) == _bits([w[1] for w in want])

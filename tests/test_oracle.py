@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0e
 
+from mszego import ddnum as dd
+from mszego import oracle
 from mszego.core import Configuration, validate_config
 from mszego.oracle import (IllConditioned, MomentMatrix, NoConvergence,
                            NonIntegerExponent, exact_moments,
@@ -260,8 +262,8 @@ def test_roots_triple_zero():
 def monic_from_coeffs(coeffs):
     from mszego.oracle import MonicPolynomial
     arr = np.array(coeffs, dtype=complex)
-    return MonicPolynomial(len(arr) - 1, arr, 1.0, 1.0,
-                           coeffs_lo=np.zeros_like(arr))
+    return MonicPolynomial(len(arr) - 1, arr, 1.0, np.zeros_like(arr),
+                           np.eye(len(arr) - 1))
 
 
 def _reference():
@@ -301,6 +303,47 @@ def test_roots_refuse_at_dd_coefficient_floor():
     poly = monic_op(exact_moments(cfg), 128)
     with pytest.raises(NoConvergence):
         roots(poly)
+
+
+def test_double_stage_matches_polyval_bits():
+    # the stacked loop of the double Aberth stage against three np.polyval calls
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 33, 96):
+        b = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        b[n] = 1.0
+        z = 1.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        desc, ddesc = b[::-1], (b[1:] * np.arange(1, n + 1))[::-1]
+        want = (np.polyval(desc, z), np.polyval(ddesc, z),
+                np.polyval(np.abs(desc), np.abs(z)))
+        for got, ref in zip(oracle._double_newton(b)(z), want):
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_roots_bits_match_unstacked_evaluation(monkeypatch):
+    # roots with the stacked passes against roots with np.polyval and
+    # per-point scalar double-double Horner, on FIG4 at n = N = 64
+    cfg = validate_config(Configuration(a=(0.5 - 0.5j, -0.25 - 0.5j), c=(1.0, 1.0),
+                                        n=64, N=None))
+    poly = monic_op(exact_moments(cfg), 64)
+    got = roots(poly)
+
+    def double_newton(b):
+        desc, ddesc = b[::-1], (b[1:] * np.arange(1, len(b)))[::-1]
+        return lambda z: (np.polyval(desc, z), np.polyval(ddesc, z),
+                          np.polyval(np.abs(desc), np.abs(z)))
+
+    def dd_newton(poly):
+        d = dd.scale((poly.coeffs[1:], poly.coeffs_lo[1:]),
+                     dd.dd(np.arange(1.0, poly.degree + 1)))
+        d = (d[0].tolist(), d[1].tolist())
+        return lambda z: (np.array([poly_eval(poly, w) for w in z]),
+                          np.array([dd.value(dd.horner(d, complex(w))) for w in z]))
+
+    monkeypatch.setattr(oracle, "_double_newton", double_newton)
+    monkeypatch.setattr(oracle, "_dd_newton", dd_newton)
+    want = roots(poly)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_roots_vieta(cfg_pair):
@@ -390,6 +433,22 @@ def test_cond_estimate_is_diagonally_scaled(cfg_pair):
     # mostly the Gaussian scale m!/N^m of the moments
     p = monic_op(exact_moments(cfg_pair.replace_degree(32)), 32)
     assert 100 < p.cond_estimate < 300
+
+
+def test_cond_estimate_computed_on_first_read(monkeypatch):
+    # the SVD behind cond_estimate runs once, when the value is first read
+    cfg = validate_config(Configuration(a=(0.5 - 0.5j, -0.25 - 0.5j), c=(1.0, 1.0),
+                                        n=96, N=None))
+    M = exact_moments(cfg)
+    cond, calls = np.linalg.cond, []
+    monkeypatch.setattr(np.linalg, "cond", lambda A: calls.append(A) or cond(A))
+    p = monic_op(M, 96)
+    assert calls == []
+    value = p.cond_estimate
+    assert p.cond_estimate == value and len(calls) == 1
+    s = np.sqrt(M.entries.diagonal()[:96].real)
+    eager = float(cond(M.entries[:96, :96] / np.outer(s, s)))
+    assert np.float64(value).tobytes() == np.float64(eager).tobytes()
 
 
 def test_quadrature_guard_scaled_condition(cfg_pair):
