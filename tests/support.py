@@ -4,13 +4,16 @@ Everything here deliberately avoids the code paths under test: the
 truncated-exponential oracle integrates the defining contour integral
 directly, the crossing counter does raw segment/ray geometry, the
 unit-exponent inner error comes from the closed-form polynomial in plain
-floats, and the expansion coefficients of f_c come from math.gamma.
+floats, the expansion coefficients of f_c come from math.gamma, and the
+moments of one real point come from the angular closed form and a
+one-dimensional radial integral.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import binom, hyp2f1
 
 
 def f_contour(zeta, c, r=None):
@@ -124,3 +127,31 @@ def unit_point_inner_error(z, a, n, N):
     exact = z ** (n + 1) - r * e_x / e_y
     diff = -z ** (n + 1) - r * (t_x - math.exp(x - y) * t_y) / e_y
     return abs(diff) / abs(exact)
+
+
+def real_point_moments(a, c, n, N):
+    """Moments <z^p, z^q> of |z - a|^(2c) exp(-N|z|^2) for one real a > 0.
+
+    On the circle |z| = r the angular integral of |z - a|^(2c) e^(ik theta)
+    is 2 pi max(r,a)^(2c) (-t)^k binom(c,k) 2F1(-c, k-c; k+1; t^2) with
+    t = min(r,a)/max(r,a); the radial integral is split at r = a, where the
+    integrand has a kink.  The matrix is real and symmetric.
+    """
+    def radial(m, k):
+        bk = binom(c, k)
+
+        def f(r):
+            hi, lo = max(r, a), min(r, a)
+            t = lo / hi
+            return (r ** (m + 1) * math.exp(-N * r * r) * hi ** (2 * c)
+                    * (-t) ** k * bk * hyp2f1(-c, k - c, k + 1, t * t))
+
+        inner = quad(f, 0.0, a, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        outer = quad(f, a, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return 2.0 * math.pi * (inner + outer)
+
+    M = np.zeros((n + 1, n + 1))
+    for p in range(n + 1):
+        for q in range(p + 1):
+            M[p, q] = M[q, p] = radial(p + q, p - q)
+    return M

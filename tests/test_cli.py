@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -112,7 +113,7 @@ def test_curve_csv_deterministic(pair_cfg_path, tmp_path, capsys):
                  "--tol", "1e-8", "--out", out1]) == 0
     assert main(["curve", pair_cfg_path, "--grid", "150",
                  "--tol", "1e-8", "--out", out2]) == 0
-    b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+    b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     assert b1 == b2
     header = b1.decode().splitlines()[0]
     assert header == "arc_id,j,k,re,im"
@@ -120,7 +121,7 @@ def test_curve_csv_deterministic(pair_cfg_path, tmp_path, capsys):
               for line in b1.decode().splitlines()[1:]}
     assert labels <= {(0, 1), (0, 2), (1, 2), (2, 1), (1, 0), (2, 0)}
     # manifest written beside the output
-    man = json.loads(open(out1 + ".manifest.json").read())
+    man = json.loads(Path(out1 + ".manifest.json").read_text())
     assert man["command"] == "curve"
     assert os.path.basename(out1) in [os.path.basename(p) for p in man["outputs"]]
 
@@ -130,11 +131,11 @@ def test_curve_points_inside_disk(pair_cfg_path, tmp_path):
     svg = str(tmp_path / "arcs.svg")
     assert main(["curve", pair_cfg_path, "--grid", "150", "--out", out,
                  "--svg", svg]) == 0
-    rows = open(out).read().splitlines()[1:]
+    rows = Path(out).read_text().splitlines()[1:]
     for row in rows:
         _, _, _, re_, im_ = row.split(",")
         assert float(re_) ** 2 + float(im_) ** 2 < 1.0
-    assert "<svg" in open(svg).read()
+    assert "<svg" in Path(svg).read_text()
 
 
 def test_asymp_points_csv(single_cfg_path, tmp_path):
@@ -143,7 +144,7 @@ def test_asymp_points_csv(single_cfg_path, tmp_path):
     out = str(tmp_path / "vals.csv")
     assert main(["asymp", single_cfg_path, "--mode", "region",
                  "--points", str(pts), "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "re,im,value_re,value_im,label,formula_used"
     assert len(lines) == 3
     assert lines[1].endswith("region")
@@ -167,11 +168,11 @@ def test_asymp_modes(single_cfg_path, tmp_path):
 def test_fc_and_zeros(tmp_path, capsys):
     out = str(tmp_path / "fc.csv")
     assert main(["fc", "--c", "0.5", "--grid", "9", "--out", out]) == 0
-    assert open(out).read().splitlines()[0] == "re,im,f_re,f_im"
+    assert Path(out).read_text().splitlines()[0] == "re,im,f_re,f_im"
     outz = str(tmp_path / "zeros.csv")
     assert main(["fc-zeros", "--c", "1.0", "--box", "-0.5", "1", "5", "8",
                  "--out", outz]) == 0
-    rows = open(outz).read().splitlines()
+    rows = Path(outz).read_text().splitlines()
     assert rows[0] == "re,im,abs_Ec"
     assert len(rows) == 2
     vals = rows[1].split(",")
@@ -185,7 +186,7 @@ def test_oracle_roots_csv(single_cfg_path, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert doc["degree"] == 12
     assert doc["max_orthogonality_residual"] < 1e-8
-    rows = open(out).read().splitlines()
+    rows = Path(out).read_text().splitlines()
     assert rows[0] == "re,im,residual"
     assert len(rows) == 13
     for row in rows[1:]:
@@ -198,7 +199,7 @@ def test_compare_command(single_cfg_path, tmp_path, capsys):
                  "--grid", "150", "--out", out]) == 0
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert doc["root_curve_distance"]["count"] > 0
-    rows = open(out).read().splitlines()
+    rows = Path(out).read_text().splitlines()
     assert rows[0].startswith("re,im,label,oracle_re")
     outer = [r for r in rows[1:] if int(r.split(",")[2]) == 0]
     assert outer and all(float(r.split(",")[-1]) <= 1e-2 for r in outer)
@@ -211,7 +212,7 @@ def test_compare_deepest_point_per_region(pair_cfg_path, tmp_path, capsys):
     out = str(tmp_path / "cmp.csv")
     assert main(["compare", pair_cfg_path, "--degree", "16",
                  "--grid", "150", "--out", out]) == 0
-    rows = [r.split(",") for r in open(out).read().splitlines()[1:]]
+    rows = [r.split(",") for r in Path(out).read_text().splitlines()[1:]]
     bounded = [r for r in rows if int(r[2]) != 0]
     assert sorted(int(r[2]) for r in bounded) == [1, 2]
     for r in bounded:
@@ -246,14 +247,14 @@ def test_fc_zeros_box_without_zeros(tmp_path):
     out = str(tmp_path / "z.csv")
     assert main(["fc-zeros", "--c", "20", "--box", "-1", "1", "5", "8",
                  "--out", out]) == 0
-    assert open(out).read().splitlines() == ["re,im,abs_Ec"]
+    assert Path(out).read_text().splitlines() == ["re,im,abs_Ec"]
 
 
 def test_fc_zeros_multiple_zero_at_nonpositive_integer(tmp_path, capsys):
     out = str(tmp_path / "z.csv")
     assert main(["fc-zeros", "--c", "-3", "--box", "-10", "10", "-10", "10",
                  "--out", out]) == 0
-    assert open(out).read().splitlines() == ["re,im,abs_Ec"] + ["0.0,0.0,0.0"] * 3
+    assert Path(out).read_text().splitlines() == ["re,im,abs_Ec"] + ["0.0,0.0,0.0"] * 3
     assert "3 zeros in box" in capsys.readouterr().out
 
 
@@ -274,7 +275,7 @@ def test_curve_missing_region_exit_code(pair_cfg_path, tmp_path, capsys):
 def test_levels_manifest_beside_out(single_cfg_path, tmp_path):
     out = str(tmp_path / "levels.json")
     assert main(["levels", single_cfg_path, "--out", out]) == 0
-    man = json.loads(open(out + ".manifest.json").read())
+    man = json.loads(Path(out + ".manifest.json").read_text())
     assert man["command"] == "levels" and man["outputs"] == [out]
 
 
@@ -315,7 +316,7 @@ def test_levels_manifest_beside_out(single_cfg_path, tmp_path):
     "asymp {cfg} --points {short_row} --out {out}",
 ])
 def test_bad_input_exit_code(argv, single_cfg_path, tmp_path, capsys):
-    text = open(single_cfg_path).read()
+    text = Path(single_cfg_path).read_text()
     truncated = tmp_path / "truncated.json"
     truncated.write_text(text[: len(text) // 2])
     bad_points = tmp_path / "points.csv"

@@ -19,6 +19,7 @@ from mszego.oracle import (IllConditioned, MomentMatrix, NoConvergence,
 from mszego.szego import solve_structure, trace_curve
 
 from conftest import A1
+from support import real_point_moments
 
 
 @pytest.fixture(scope="module")
@@ -218,9 +219,48 @@ def test_quadrature_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 55 MB measured with one |z - a_j| per node and the cutoff inside
-    # its disk only (79 MB when the cutoff ran over whole radial rows)
-    assert peak < 72 * 2 ** 20
+    # 55 MB measured with each radial chunk's arrays freed before the
+    # patches (61 MB when the last chunk's stayed alive through them, 79 MB
+    # when the cutoff ran over whole radial rows)
+    assert peak < 60 * 2 ** 20
+
+
+@pytest.mark.parametrize("a, c, n", [(0.6, 0.5, 8), (0.7, 0.5, 24), (0.5, 3.5, 8)])
+def test_quadrature_matches_real_point_reference(a, c, n):
+    # measured 3.6e-15, 1.0e-14 and 2.1e-13; the factor-2 mesh alone reads
+    # 3.1e-12 on the first case, so a ladder that stops a step early fails
+    cfg = validate_config(Configuration(a=(a,), c=(c,), n=n, N=None))
+    M = quad_moments(cfg)
+    assert moments_max_reldiff(M.entries, real_point_moments(a, c, n, cfg.N)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["cfg_level2_frac", "cfg_branchy"])
+def test_grid_weight_skips_far_disks_bit_for_bit(name, request, monkeypatch):
+    # a chunk whose radii all lie r_j or more from |a_j| has no node in that
+    # disk; testing every node anyway must not move a bit of the moments
+    from mszego.oracle import _bump, _moments_mesh
+    cfg = request.getfixturevalue(name)
+    skipped = []
+
+    def unskipped(config, radii, rr, base, eit, cutoff):
+        z = rr[:, None] * eit[None, :]
+        w = base[:, None]
+        rhos = []
+        for aj, cj in zip(config.a, config.c):
+            rho = np.abs(z - aj)
+            w = w * rho ** (2.0 * cj)
+            rhos.append(rho)
+        for aj, rho, rj in zip(config.a, rhos, radii):
+            skipped.append(np.min(np.abs(rr - abs(aj))) >= rj)
+            inside = rho < rj
+            w[inside] *= 1.0 - _bump(2.0 * rho[inside] / rj - 1.0)
+        return w
+
+    want = _moments_mesh(cfg, cfg.n + 1, 2)
+    monkeypatch.setattr(oracle, "_grid_weight", unskipped)
+    got = _moments_mesh(cfg, cfg.n + 1, 2)
+    assert any(skipped)
+    assert np.array_equal(got, want)
 
 
 def test_bump_is_exact_outside_its_transition():
