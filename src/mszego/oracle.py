@@ -14,9 +14,12 @@ that the quadrature path checks it before its solve.
 
 Quadrature moments on a fractional exponent are limited by two counts,
 which each mesh doubling halves: the Gauss-Jacobi radial nodes of the
-patches around the points and the angles of the main polar grid.  The
-main grid's radial step bought no digit, so in the cutoff annuli it is
-only a little finer than the angular spacing there (``_moments_mesh``).
+patches around the points and the angles of the main polar grid.  Both
+resolve the smooth cutoff that splits the weight between the two, so
+the cutoff switches over the whole patch disk, as slowly as the disk
+allows.  The main grid's radial step bought no digit, so in the cutoff
+annuli it is only a little finer than the angular spacing there
+(``_moments_mesh``).
 """
 
 from __future__ import annotations
@@ -226,28 +229,48 @@ def _angular_accumulate(M, r, w):
     M += A[p[:, None] + p[None, :], p[:, None] - p[None, :] + n]
 
 
-def _grid_weight(config: Configuration, radii, rr, base, eit, cutoff: bool):
+def _patch_share(rho, rj):
+    """The singular patch's share bump(rho/r_j) of the weight at distance
+    rho from a_j; the main grid takes the rest, 1 - share.
+
+    The switch spans the whole disk: the share is exactly 1.0 at a_j and
+    exactly 0.0 from rho = r_j on, so outside the disk the main grid's
+    factor is exactly 1.0.
+    """
+    return _bump(rho / rj)
+
+
+def _grid_weight(config: Configuration, radii, rr, base, theta, cutoff: bool):
     """The real weight on the main-grid rows of radii ``rr``.
 
     ``base`` is the radial part of each row; every |z - a_j|^(2c_j)
-    follows, then, if ``cutoff``, the factor 1 - bump inside the disk
-    |z - a_j| < r_j.  That factor is exactly 1.0 outside the disk and the
-    disks are disjoint, so a node takes at most one of them; it must
-    follow every power, or the product rounds differently.  Since
-    |z - a_j| >= |r - |a_j||, a disk that no radius of the chunk comes
-    within r_j of is not tested at all.
+    follows, then, if ``cutoff``, the factor 1 - _patch_share inside the
+    disk |z - a_j| < r_j.  With the cutoff (a fractional exponent) the
+    squared distance is formed in real arithmetic without cancellation,
+    as (r - |a_j|)^2 + 4 r |a_j| sin^2((theta - arg a_j)/2); without it
+    (integer exponents, checked against the exact moments) it comes from
+    the complex nodes, whose bits those runs keep.  The factor is exactly
+    1.0 outside the disk and the disks are disjoint, so a node takes at
+    most one of them; it must follow every power, or the product rounds
+    differently.  Since |z - a_j| >= |r - |a_j||, a disk that no radius
+    of the chunk comes within r_j of is not tested at all.
     """
-    z = rr[:, None] * eit[None, :]
     w = base[:, None]
+    if not cutoff:
+        z = rr[:, None] * np.exp(1j * theta)[None, :]
+        for aj, cj in zip(config.a, config.c):
+            w = w * np.abs(z - aj) ** (2.0 * cj)
+        return w
     cut = []
     for aj, cj, rj in zip(config.a, config.c, radii):
-        rho = np.abs(z - aj)
-        w = w * rho ** (2.0 * cj)
-        if cutoff and np.min(np.abs(rr - abs(aj))) < rj:
-            cut.append((rho, rj))
-    for rho, rj in cut:
-        inside = rho < rj
-        w[inside] *= 1.0 - _bump(2.0 * rho[inside] / rj - 1.0)
+        s = np.sin(0.5 * (theta - np.angle(aj)))
+        rho2 = ((rr - abs(aj)) ** 2)[:, None] + (4.0 * abs(aj) * rr)[:, None] * (s * s)
+        w = w * rho2 ** cj
+        if np.min(np.abs(rr - abs(aj))) < rj:
+            cut.append((rho2, rj))
+    for rho2, rj in cut:
+        inside = rho2 < rj * rj
+        w[inside] *= 1.0 - _patch_share(np.sqrt(rho2[inside]), rj)
     return w
 
 
@@ -257,12 +280,15 @@ def _moments_mesh(config: Configuration, size, factor: int,
 
     On a fractional exponent two counts set the error, and the doubling
     ladder halves both: the patches' Gauss-Jacobi radial nodes and the
-    main grid's angles.  On the single point a = 0.6, c = 0.5, n = 8 at
-    factor 4, taking either alone back to factor 1 costs 2e-9 and 1.4e-10
-    against the closed form, and the main grid's radial step costs
-    nothing (3.6e-15).  So the cutoff annuli take panels of r_j/4/factor,
-    whose 16 Gauss-Legendre nodes are still finer than the angular
-    spacing at |a_j|.
+    main grid's angles.  Both resolve the C-infinity cutoff, which is
+    why it switches over the whole disk |z - a_j| < r_j (``_patch_share``):
+    on the single point a = 0.6, c = 0.5, n = 8, a switch over [r_j/2,
+    r_j] left factors 1 and 2 1.9e-9 apart, so the ladder ran on to
+    factor 4; over the whole disk they are 6.6e-13 apart and it stops at
+    factor 2.  Taking the main grid's radial step alone back to factor 1
+    cost nothing (3.6e-15 against the closed form), so the cutoff annuli
+    take panels of r_j/4/factor, whose 16 Gauss-Legendre nodes are still
+    finer than the angular spacing at |a_j|.
     """
     n = size - 1
     N = config.N
@@ -313,11 +339,10 @@ def _moments_mesh(config: Configuration, size, factor: int,
     # radial chunks of about 1e6 nodes bound the weight arrays, which
     # _grid_weight frees before the patches below
     chunk = max(1, int(1e6 // ntheta))
-    eit = np.exp(1j * theta)
     for i0 in range(0, r.size, chunk):
         rr = r[i0:i0 + chunk]
         base = rr * wr[i0:i0 + chunk] * np.exp(-N * rr * rr) * wt
-        _angular_accumulate(M, rr, _grid_weight(config, radii, rr, base, eit,
+        _angular_accumulate(M, rr, _grid_weight(config, radii, rr, base, theta,
                                                 not all_integer))
 
     if all_integer:
@@ -334,7 +359,7 @@ def _moments_mesh(config: Configuration, size, factor: int,
         rho = rj * 0.5 * (1.0 + xj)
         wrho = wj * (rj * 0.5) ** (2.0 * cj + 2.0)
         z = aj + rho[:, None] * np.exp(1j * phi)[None, :]
-        chi = _bump(2.0 * rho / rj - 1.0)
+        chi = _patch_share(rho, rj)
         w = (wrho * chi)[:, None] * np.exp(-N * np.abs(z) ** 2) * wphi
         for am, cm in zip(config.a, config.c):
             if am != aj:

@@ -219,41 +219,71 @@ def test_quadrature_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 55 MB measured with each radial chunk's arrays freed before the
-    # patches (61 MB when the last chunk's stayed alive through them, 79 MB
-    # when the cutoff ran over whole radial rows)
-    assert peak < 60 * 2 ** 20
+    # 43 MB measured now that the ladder stops at factor 2 (55 MB when it
+    # ran on to factor 4, 79 MB when the cutoff ran over whole radial rows)
+    assert peak < 50 * 2 ** 20
 
 
 @pytest.mark.parametrize("a, c, n", [(0.6, 0.5, 8), (0.7, 0.5, 24), (0.5, 3.5, 8)])
 def test_quadrature_matches_real_point_reference(a, c, n):
-    # measured 3.6e-15, 1.0e-14 and 2.1e-13; the factor-2 mesh alone reads
-    # 3.1e-12 on the first case, so a ladder that stops a step early fails
+    # measured 3.4e-15, 9.4e-15 and 2.1e-13; the factor-1 mesh alone reads
+    # 6.6e-13 on the first case but 1.7e-11 on the second, so a ladder that
+    # stops a step early fails through the second
     cfg = validate_config(Configuration(a=(a,), c=(c,), n=n, N=None))
     M = quad_moments(cfg)
     assert moments_max_reldiff(M.entries, real_point_moments(a, c, n, cfg.N)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["frac_quad", "cfg_level2_frac", "cfg_branchy"])
+def test_quadrature_ladder_stops_at_factor_two(name, request, monkeypatch):
+    # the cutoff switches over the whole patch disk, slowly enough that one
+    # doubling meets QUAD_TARGET; switching over [r_j/2, r_j], each of these
+    # ran on to factor 4
+    if name == "frac_quad":
+        cfg = validate_config(Configuration(a=(0.6,), c=(0.5,), n=8, N=None))
+    else:
+        cfg = request.getfixturevalue(name)
+    factors = []
+    mesh = oracle._moments_mesh
+
+    def recorded(config, size, factor, *args):
+        factors.append(factor)
+        return mesh(config, size, factor, *args)
+
+    monkeypatch.setattr(oracle, "_moments_mesh", recorded)
+    quad_moments(cfg)
+    assert factors == [1, 2]
+
+
+def test_quadrature_close_pair_converges():
+    # r_j = 0.0225; switching over [r_j/2, r_j], doubling stalled at a
+    # factor-2/4 difference of 3.3e-9 here
+    from mszego.oracle import _moments_mesh
+    cfg = validate_config(Configuration(a=(0.5, 0.53 + 0.04j), c=(0.5, 0.5), n=8, N=None))
+    M = quad_moments(cfg)
+    assert moments_max_reldiff(M.entries, _moments_mesh(cfg, cfg.n + 1, 8)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["cfg_level2_frac", "cfg_branchy"])
 def test_grid_weight_skips_far_disks_bit_for_bit(name, request, monkeypatch):
     # a chunk whose radii all lie r_j or more from |a_j| has no node in that
     # disk; testing every node anyway must not move a bit of the moments
-    from mszego.oracle import _bump, _moments_mesh
+    from mszego.oracle import _moments_mesh, _patch_share
     cfg = request.getfixturevalue(name)
     skipped = []
 
-    def unskipped(config, radii, rr, base, eit, cutoff):
-        z = rr[:, None] * eit[None, :]
+    def unskipped(config, radii, rr, base, theta, cutoff):
         w = base[:, None]
-        rhos = []
+        rho2s = []
         for aj, cj in zip(config.a, config.c):
-            rho = np.abs(z - aj)
-            w = w * rho ** (2.0 * cj)
-            rhos.append(rho)
-        for aj, rho, rj in zip(config.a, rhos, radii):
+            s = np.sin(0.5 * (theta - np.angle(aj)))
+            rho2 = ((rr - abs(aj)) ** 2)[:, None] + (4.0 * abs(aj) * rr)[:, None] * (s * s)
+            w = w * rho2 ** cj
+            rho2s.append(rho2)
+        for aj, rho2, rj in zip(config.a, rho2s, radii):
             skipped.append(np.min(np.abs(rr - abs(aj))) >= rj)
-            inside = rho < rj
-            w[inside] *= 1.0 - _bump(2.0 * rho[inside] / rj - 1.0)
+            inside = rho2 < rj * rj
+            w[inside] *= 1.0 - _patch_share(np.sqrt(rho2[inside]), rj)
         return w
 
     want = _moments_mesh(cfg, cfg.n + 1, 2)
@@ -261,6 +291,18 @@ def test_grid_weight_skips_far_disks_bit_for_bit(name, request, monkeypatch):
     got = _moments_mesh(cfg, cfg.n + 1, 2)
     assert any(skipped)
     assert np.array_equal(got, want)
+
+
+def test_patch_share_is_exact_at_the_center_and_outside_the_disk():
+    # the main grid's factor 1 - share is exactly 1.0 from rho = r_j on, so
+    # a node outside every disk keeps its weight's bits (the disjoint-disk
+    # argument of _grid_weight), and exactly 0.0 at a_j itself
+    from mszego.oracle import _patch_share
+    rj = 0.0225
+    rho = np.array([0.0, rj, np.nextafter(rj, 1.0), 1.5 * rj, 10.0])
+    assert np.array_equal(1.0 - _patch_share(rho, rj), [0.0, 1.0, 1.0, 1.0, 1.0])
+    inside = 1.0 - _patch_share(np.linspace(0.1, 0.9, 9) * rj, rj)
+    assert np.all((inside > 0.0) & (inside < 1.0)) and np.all(np.diff(inside) > 0)
 
 
 def test_bump_is_exact_outside_its_transition():

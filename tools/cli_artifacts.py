@@ -41,6 +41,9 @@ INTEGER = ("single", "pair", "level2", "level3")
 # the double-double coefficients hold the roots to about 1e-10 only, so
 # `oracle` refuses them (exit 4)
 LARGE_N = {f"pair_n{n}": {**CONFIGS["pair"], "n": n} for n in (40, 96, 128)}
+# two fractional points 0.05 apart, so r_j = 0.0225: the quadrature's cutoff
+# must switch within these small disks and still let mesh doubling converge
+CLOSE_PAIR = {"close_pair": {"a": [[0.5, 0.0], [0.53, 0.04]], "c": [0.5, 0.5], "n": 8}}
 # region 2 of "thin" holds no node of a 201 x 201 lattice; the 3-point arc
 # (0, 4) of "short_arc" at grid 20 needs orientation by the plane gradients
 EDGE_CASES = {
@@ -84,7 +87,7 @@ def commands(out: str, cfgs: dict[str, str]):
     for key in ("pair_n96", "pair_n128"):
         name = f"oracle_{key}"
         yield name, ["oracle", cfgs[key], "--out", path(name + ".csv")]
-    for key, degree in (("branchy", 3), ("pair", 6), ("pair_n40", 40)):
+    for key, degree in (("branchy", 3), ("pair", 6), ("pair_n40", 40), ("close_pair", 8)):
         name = f"oracle_quad_{key}_{degree}"
         yield name, ["oracle", cfgs[key], "--method", "quad", "--degree", str(degree),
                      "--out", path(name + ".csv")]
@@ -128,7 +131,7 @@ def commands(out: str, cfgs: dict[str, str]):
 def run(out: str) -> None:
     os.makedirs(out, exist_ok=True)
     cfgs = {}
-    for key, doc in {**CONFIGS, **LARGE_N, **EDGE_CASES}.items():
+    for key, doc in {**CONFIGS, **LARGE_N, **CLOSE_PAIR, **EDGE_CASES}.items():
         cfgs[key] = os.path.join(out, f"config_{key}.json")
         with open(cfgs[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
