@@ -37,8 +37,7 @@ from .oracle import (IllConditioned, NoConvergence, QuadratureNotConverged,
                      exact_moments, monic_op, orthogonality_residuals,
                      quad_moments, root_curve_distance, roots, poly_eval)
 from .specfun import ContourThroughZero, E_c, FcEvaluator, zeros_E_c
-from .szego import (DegenerateArc, NonGeneric, classify_many, plane_stack,
-                    solve_structure, trace_curve)
+from .szego import NonGeneric, classify_many, plane_stack, solve_structure, trace_curve
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -189,7 +188,7 @@ def cmd_curve(args) -> list[str]:
         _svg_plot(args.svg, curve.arcs, dots=cfg.a)
         outputs.append(args.svg)
     print(f"{len(curve.arcs)} arcs, {len(rows)} points, "
-          f"{len(curve.triple_points)} junction cells")
+          f"{len(curve.triple_points)} triple points")
     return outputs
 
 
@@ -439,7 +438,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         return EXIT_NON_GENERIC
     except (QuadratureNotConverged, IllConditioned, NoConvergence,
-            ContourThroughZero, DegenerateArc, OnCut, ChainConstantOutOfRange) as exc:
+            ContourThroughZero, OnCut, ChainConstantOutOfRange) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if outputs:

@@ -9,14 +9,16 @@ logarithm wins, label j where the j-th plane wins.  The level vector
 L = (l_1..l_nu) is the unique one placing every a_j on the boundary of
 its own region; it is found by a finite fixed-point iteration (nu
 sweeps).  The union of the bounded region boundaries is the curve the
-polynomial roots accumulate on; it is extracted here by grid labeling
-plus edge bisection.
+polynomial roots accumulate on.  It is built here in closed form: the
+boundary of region 0 is a polar graph r(theta), and two bounded regions
+meet on a straight segment between exact triple points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .core import Configuration
 
 __all__ = [
     "NonGeneric",
-    "DegenerateArc",
     "SzegoStructure",
     "Arc",
     "CurveSet",
@@ -48,7 +49,8 @@ EMPTY_SCAN_GRID = 201
 
 
 class NonGeneric(Exception):
-    """A singular point touches more or fewer than two regions.
+    """A singular point touches more or fewer than two regions, or four
+    regions meet at one point of the curve.
 
     Carries the partial structure data available at detection time in
     ``self.report`` (a dict) so callers can still show diagnostics.
@@ -57,11 +59,6 @@ class NonGeneric(Exception):
     def __init__(self, message: str, report: dict | None = None):
         super().__init__(message)
         self.report = report or {}
-
-
-class DegenerateArc(Exception):
-    """An extracted arc has fewer than 3 points, or a bounded region borders
-    no arc; raise the grid resolution."""
 
 
 @dataclass(frozen=True)
@@ -294,155 +291,145 @@ def solve_structure(config: Configuration) -> SzegoStructure:
 
 
 # ---------------------------------------------------------------------------
-# curve extraction
+# the curve in closed form
+#
+# On a ray, log r - plane_j(r e^{i theta}) increases on (0, 1] for every j
+# (|a_j| < 1), so region 0 is bounded by one polar graph r(theta).  Two
+# bounded regions meet on a straight segment of their tie line, and every
+# interface ends at triple points.
 
 
-def _bisect_edges(config, L, z1, z2, lab1, lab2, tol):
-    """Vectorized bisection of label-changing lattice edges.
+def _bisect(f, lo, hi, tol):
+    """Vectorised bisection of a sign change of ``f`` on each [lo, hi], to width ``tol``.
 
-    A midpoint showing a third label replaces the far endpoint, so each
-    edge converges to some label interface crossing within it.  The
-    arrays are updated in place.
+    The halvings are counted in advance: once no double lies between the
+    ends they stop moving, so a ``tol`` below the float spacing still ends.
     """
-    while np.max(np.abs(z2 - z1)) > tol:
-        zm = 0.5 * (z1 + z2)
-        lm = classify_many(zm, config, L)
-        left = lm == lab1
-        right = lm == lab2
-        other = ~(left | right)
-        z1[left] = zm[left]
-        z2[right] = zm[right]
-        z2[other] = zm[other]
-        lab2[other] = lm[other]
-    return 0.5 * (z1 + z2), lab1, lab2
+    up = f(lo) > 0
+    for _ in range(math.ceil(math.log2(max(np.max(hi - lo, initial=0.0), tol) / tol))):
+        mid = 0.5 * (lo + hi)
+        right = (f(mid) > 0) == up
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _on_top(z, labels, a, L) -> bool:
+    """Whether z lies in the unit disk with no plane but ``labels`` above them."""
+    vals = plane_stack(z, a, L)
+    top = vals[list(labels)].max()
+    return abs(z) < 1.0 and np.delete(vals, labels).max(initial=-np.inf) <= top + BOUNDARY_TOL
+
+
+def _triple_points(a, L, tol):
+    """Points where three regions meet, as ``(labels, z)`` with sorted labels.
+
+    Bounded labels (i, j, k) meet at the solution of two linear equations.
+    Labels (0, i, j) meet at a root of ``plane_i - log|z|`` on the line
+    ``plane_i = plane_j``.  Written ``z = s n + t i n`` with ``|n| = 1``, that
+    difference is ``alpha + beta t - log(s^2 + t^2)/2``, whose derivative
+    ``beta - t/(s^2 + t^2)`` vanishes where ``beta t^2 - t + beta s^2 = 0``.
+    So the chord inside the unit disk splits into at most three monotone
+    pieces, and each piece whose ends differ in sign is bisected to ``tol``.
+    A candidate is kept only if no other plane lies above it.
+    """
+    bounded = range(1, len(a) + 1)
+    found = []
+    for i, j, k in combinations(bounded, 3):
+        (p, b), (q, c) = ((a[i - 1] - a[m - 1], L[m - 1] - L[i - 1]) for m in (j, k))
+        det = p.real * q.imag - p.imag * q.real
+        if det != 0.0:   # else the two tie lines are parallel
+            found.append(((i, j, k),
+                          complex(b * q.imag - c * p.imag, p.real * c - q.real * b) / det))
+    pieces = []   # (i, j, foot point, direction, alpha, beta, s^2, t_lo, t_hi)
+    for i, j in combinations(bounded, 2):
+        d = a[i - 1] - a[j - 1]
+        n, s = d / abs(d), (L[j - 1] - L[i - 1]) / abs(d)
+        if abs(s) >= 1.0:
+            continue
+        beta = (a[i - 1].conjugate() * 1j * n).real
+        half = math.sqrt(1.0 - s * s)
+        cuts = [-half, half]
+        if beta == 0.0:
+            cuts.append(0.0)
+        elif 4.0 * beta * beta * s * s <= 1.0:
+            w = 1.0 + math.sqrt(1.0 - 4.0 * beta * beta * s * s)
+            cuts += [w / (2.0 * beta), 2.0 * beta * s * s / w]
+        cuts = sorted(t for t in cuts if abs(t) <= half)
+        alpha = (a[i - 1].conjugate() * s * n).real + L[i - 1]
+        pieces += [(i, j, s * n, 1j * n, alpha, beta, s * s, lo, hi)
+                   for lo, hi in zip(cuts, cuts[1:])]
+    if pieces:
+        i_, j_, foot, u, alpha, beta, s2, lo, hi = map(np.array, zip(*pieces))
+
+        def gap(t):
+            return alpha + beta * t - 0.5 * np.log(s2 + t * t)
+
+        with np.errstate(divide="ignore"):
+            crossed = (gap(lo) > 0) != (gap(hi) > 0)
+            z = foot + _bisect(gap, lo, hi, tol) * u
+        found += [((0, int(i_[m]), int(j_[m])), complex(z[m])) for m in np.flatnonzero(crossed)]
+    return [(labels, z) for labels, z in found if _on_top(z, labels, a, L)]
 
 
 def trace_curve(structure: SzegoStructure, grid: int = 400, tol: float = 1e-8) -> CurveSet:
-    """Extract the region-boundary curve as label-pair-tagged polylines.
+    """The region-boundary curve in closed form, as label-pair-tagged polylines.
 
-    Lattice nodes over [-1,1]^2 are labeled, every edge whose endpoints
-    disagree is bisected down to ``tol``, and the crossing points are
-    chained cell by cell.  Arcs end at lattice cells where three or more
-    labels meet (recorded in ``triple_points``).  Each arc is oriented
-    with its ``j`` region on the left.
+    The boundary of region 0 is the polar graph r(theta), each point
+    bisected on its ray to width ``tol``.  The triple points with label 0,
+    in angle order, split it into one arc per bounded neighbor; with none
+    it is one closed loop whose first point equals its last.  Two bounded
+    regions meet on the segment between the two triple points on their tie
+    line.  Samples lie at most ``2/grid`` apart, in length along a segment
+    and in angle along the graph, with at least 3 per arc; arc ends are the
+    triple points themselves.  Each arc is oriented with its ``j`` region
+    on the left.
+
+    Raises :class:`NonGeneric` when a tie line carries other than 0 or 2
+    triple points, which means four regions meet at one point.
     """
-    config = structure.config
-    L = structure.L
-    xs = np.linspace(-1.0, 1.0, grid)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    Z = X + 1j * Y
-    labels = classify_many(Z, config, L)
+    a, L = structure.config.a, structure.L
+    triples = _triple_points(a, L, tol)
 
-    crossings = {}  # ('h'|'v', i, j) -> (point, la, lb)
+    def samples(span):
+        return max(3, 1 + math.ceil(grid * span / 2))
 
-    # horizontal edges: (i,j)-(i+1,j); vertical: (i,j)-(i,j+1)
-    for axis, key in ((0, "h"), (1, "v")):
-        if axis == 0:
-            la, lb = labels[:-1, :], labels[1:, :]
-            za, zb = Z[:-1, :], Z[1:, :]
-        else:
-            la, lb = labels[:, :-1], labels[:, 1:]
-            za, zb = Z[:, :-1], Z[:, 1:]
-        ii, jj = np.nonzero(la != lb)
-        if len(ii) == 0:
-            continue
-        pts, l1, l2 = _bisect_edges(
-            config, L, za[ii, jj], zb[ii, jj], la[ii, jj], lb[ii, jj], tol,
-        )
-        for idx in range(len(ii)):
-            crossings[(key, int(ii[idx]), int(jj[idx]))] = (
-                complex(pts[idx]), int(l1[idx]), int(l2[idx]),
-            )
+    ends: dict[tuple[int, int], list[complex]] = {}   # of the bounded interfaces
+    for labels, z in triples:
+        for pair in combinations(labels, 2):
+            if pair[0] != 0:
+                ends.setdefault(pair, []).append(z)
+    pieces = []   # (pair, points)
+    for pair, zs in ends.items():
+        if len(zs) != 2:
+            raise NonGeneric(f"the interface of regions {pair} has {len(zs)} ends; "
+                             "four regions meet at one point", {"L": tuple(L), "pair": pair})
+        p, q = zs
+        pieces.append((pair, p + (q - p) * np.linspace(0.0, 1.0, samples(abs(q - p)))))
 
-    # cell-by-cell connectivity
-    segments = []  # (edge_key_a, edge_key_b, pair)
-    triple_cells = []
-    c00, c10 = labels[:-1, :-1], labels[1:, :-1]
-    c11, c01 = labels[1:, 1:], labels[:-1, 1:]
-    mixed = (c00 != c10) | (c00 != c11) | (c00 != c01)
-    ci_all, cj_all = np.nonzero(mixed)
-    for ci, cj in zip(ci_all.tolist(), cj_all.tolist()):
-        corner_labels = {
-            int(labels[ci, cj]), int(labels[ci + 1, cj]),
-            int(labels[ci + 1, cj + 1]), int(labels[ci, cj + 1]),
-        }
-        edge_keys = [
-            ("h", ci, cj), ("v", ci + 1, cj), ("h", ci, cj + 1), ("v", ci, cj),
-        ]
-        present = [k for k in edge_keys if k in crossings]
-        if len(corner_labels) >= 3:
-            triple_cells.append(complex(Z[ci, cj] + Z[ci + 1, cj + 1]) / 2)
-        by_pair: dict[tuple[int, int], list] = {}
-        for k in present:
-            _, l1, l2 = crossings[k]
-            by_pair.setdefault((min(l1, l2), max(l1, l2)), []).append(k)
-        for pair, keys in by_pair.items():
-            if len(keys) == 2:
-                segments.append((keys[0], keys[1], pair))
-            elif len(keys) == 4:
-                # ambiguous saddle: connect nearest two, then the rest
-                keys = sorted(keys)
-                p = [crossings[k][0] for k in keys]
-                if abs(p[0] - p[1]) + abs(p[2] - p[3]) <= abs(p[0] - p[3]) + abs(p[1] - p[2]):
-                    segments.append((keys[0], keys[1], pair))
-                    segments.append((keys[2], keys[3], pair))
-                else:
-                    segments.append((keys[0], keys[3], pair))
-                    segments.append((keys[1], keys[2], pair))
-            # a single key happens at triple-point cells: the arc ends here
+    corners = sorted(((math.atan2(z.imag, z.real) % (2 * math.pi), z)
+                      for labels, z in triples if labels[0] == 0), key=lambda c: c[0])
+    if corners:
+        spans = list(zip(corners, corners[1:] + [(corners[0][0] + 2 * math.pi, corners[0][1])]))
+    else:
+        spans = [((0.0, None), (2 * math.pi, None))]
+    thetas = [np.linspace(t0, t1, samples(t1 - t0)) for (t0, _), (t1, _) in spans]
+    e = np.exp(1j * np.concatenate(thetas))
+    slope = np.array([(np.conj(aj) * e).real for aj in a])
 
-    arcs = _assemble_arcs(crossings, segments, config.a)
-    if not arcs:
-        raise DegenerateArc("no arcs extracted; raise the grid resolution")
-    missing = set(range(1, config.nu + 1)) - {lab for a in arcs for lab in (a.j, a.k)}
-    if missing:
-        raise DegenerateArc(
-            f"region(s) {sorted(missing)} border no arc at grid {grid}; "
-            "raise the grid resolution"
-        )
-    short = [a for a in arcs if len(a.points) < 3]
-    if short:
-        raise DegenerateArc(
-            f"{len(short)} arc(s) collapsed below 3 points at grid {grid}; "
-            "raise the grid resolution"
-        )
-    return CurveSet(arcs=tuple(arcs), triple_points=tuple(triple_cells))
+    def gap(r):
+        return np.log(r) - np.max(r * slope + np.asarray(L)[:, None], axis=0)
 
+    with np.errstate(divide="ignore"):
+        graph = _bisect(gap, np.zeros(e.shape), np.ones(e.shape), tol) * e
+    splits = np.cumsum([len(t) for t in thetas])[:-1]
+    for ((_, z0), (_, z1)), pts in zip(spans, np.split(graph, splits)):
+        pts[0], pts[-1] = (pts[0], pts[0]) if z0 is None else (z0, z1)
+        label = 1 + int(np.argmax(plane_stack(pts[len(pts) // 2], a, L)[1:]))
+        pieces.append(((0, label), pts))
 
-def _assemble_arcs(crossings, segments, a):
-    adjacency: dict[tuple, list] = {}
-    for ka, kb, pair in segments:
-        adjacency.setdefault((pair, ka), []).append(kb)
-        adjacency.setdefault((pair, kb), []).append(ka)
-
-    visited = set()
-    polylines = []  # (pair, [edge keys])
-    nodes = sorted(adjacency.keys())
-    # open paths first (endpoints have degree 1), then cycles
-    for start in [n for n in nodes if len(adjacency[n]) == 1] + nodes:
-        if start in visited:
-            continue
-        pair = start[0]
-        path = [start[1]]
-        visited.add(start)
-        cur = start
-        while True:
-            nxt = [k for k in adjacency[cur] if (pair, k) not in visited]
-            if not nxt:
-                break
-            cur = (pair, nxt[0])
-            visited.add(cur)
-            path.append(cur[1])
-        if len(path) >= 2:
-            polylines.append((pair, path))
-
-    arcs = []
-    for pair, path in polylines:
-        pts = np.array([crossings[k][0] for k in path], dtype=complex)
-        pts = _oriented(pts, pair, a)
-        arcs.append(Arc(j=pair[0], k=pair[1], points=pts))
-    arcs.sort(key=lambda a: (a.j, a.k, a.points[0].real, a.points[0].imag))
-    return arcs
+    arcs = [Arc(j=pair[0], k=pair[1], points=_oriented(pts, pair, a)) for pair, pts in pieces]
+    arcs.sort(key=lambda arc: (arc.j, arc.k, arc.points[0].real, arc.points[0].imag))
+    return CurveSet(arcs=tuple(arcs), triple_points=tuple(z for _, z in triples))
 
 
 def _oriented(pts, pair, a):

@@ -265,11 +265,14 @@ def test_numerical_failure_exit_code(tmp_path):
                  "--out", out]) == 4
 
 
-def test_curve_missing_region_exit_code(pair_cfg_path, tmp_path, capsys):
-    # at grid 3 no lattice node lies in region 2, so no arc borders it
+def test_curve_coarse_grid_borders_every_region(pair_cfg_path, tmp_path, capsys):
+    # at grid 3 every arc still has its 3 samples and region 2 its arcs
     out = str(tmp_path / "arcs.csv")
-    assert main(["curve", pair_cfg_path, "--grid", "3", "--out", out]) == 4
-    assert "border no arc" in capsys.readouterr().err
+    assert main(["curve", pair_cfg_path, "--grid", "3", "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("3 arcs, ")
+    rows = Path(out).read_text().splitlines()[1:]
+    labels = {int(f) for row in rows for f in row.split(",")[1:3]}
+    assert labels == {0, 1, 2}
 
 
 def test_levels_manifest_beside_out(single_cfg_path, tmp_path):

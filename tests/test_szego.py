@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mszego.core import Configuration, validate_config
-from mszego.szego import (DegenerateArc, NonGeneric, classify, classify_many,
+from mszego.szego import (NonGeneric, SzegoStructure, classify, classify_many,
                           compute_chains, levels_iterations, phi_L, plane_stack,
                           solve_levels, solve_structure, trace_curve)
 
@@ -286,11 +286,7 @@ def test_arcs_oriented_by_plane_values():
     for cfg in random_generic_configs(10, seed=31):
         st = solve_structure(cfg)
         for grid in (40, 97):
-            try:
-                cs = trace_curve(st, grid=grid, tol=1e-8)
-            except DegenerateArc:
-                continue
-            _assert_left_side_rises(st, cs)
+            _assert_left_side_rises(st, trace_curve(st, grid=grid, tol=1e-8))
     for a, grid in SHORT_ARC_CASES:
         cfg = validate_config(Configuration(a=a, c=(1.0,) * 4, n=20, N=None))
         st = solve_structure(cfg)
@@ -308,10 +304,87 @@ def test_traced_points_are_label_ties(cfg_pair, cfg_level3):
             assert {arc.j, arc.k} <= labels
 
 
-def test_degenerate_arc_at_coarse_grid(cfg_pair):
+def _labels(cs):
+    return {lab for arc in cs.arcs for lab in (arc.j, arc.k)}
+
+
+def test_coarse_grid_borders_every_region(cfg_pair):
     st = solve_structure(cfg_pair)
-    with pytest.raises(DegenerateArc):
-        trace_curve(st, grid=6, tol=1e-8)
+    for grid in (0, 3, 6):
+        cs = trace_curve(st, grid=grid, tol=1e-8)
+        assert _labels(cs) == {0, 1, 2}
+        assert min(len(arc) for arc in cs.arcs) >= 3
+
+
+def _unit_cfg(a):
+    return validate_config(Configuration(a=a, c=(1.0,) * len(a), n=20, N=None))
+
+
+def test_short_arc_has_every_interface():
+    cs = trace_curve(solve_structure(_unit_cfg(SHORT_ARC_CASES[0][0])), grid=20, tol=1e-8)
+    assert [(arc.j, arc.k) for arc in cs.arcs] == [
+        (0, 1), (0, 2), (0, 2), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4)]
+
+
+def test_four_regions_at_one_point_refused():
+    # not a valid configuration (a_1, a_3 and 0 are collinear); by symmetry
+    # all four planes tie at the origin
+    cfg = Configuration(a=(0.5 + 0j, 0.5j, -0.5 + 0j, -0.5j), c=(1.0,) * 4, n=20, N=None)
+    st = SzegoStructure(config=cfg, L=solve_levels(cfg), ell=(), chains=(), levels=())
+    with pytest.raises(NonGeneric, match="four regions meet"):
+        trace_curve(st, grid=40, tol=1e-8)
+
+
+def _zero_mass(st, cs):
+    """Sum over arcs of the integral of |grad phi_j - grad phi_k| / 2 pi (midpoint rule)."""
+    total = 0.0
+    for arc in cs.arcs:
+        mid = 0.5 * (arc.points[1:] + arc.points[:-1])
+        grad = [1.0 / np.conj(mid) if lab == 0 else st.config.a[lab - 1]
+                for lab in (arc.j, arc.k)]
+        total += np.sum(np.abs(np.diff(arc.points)) * np.abs(grad[0] - grad[1])) / (2 * math.pi)
+    return total
+
+
+def _assert_exact_curve(st, cs, tie=1e-7):
+    """Every label borders an arc; every point ties its two planes, every
+    triple point its three, with no other plane above."""
+    assert _labels(cs) == set(range(st.config.nu + 1))
+    for arc in cs.arcs:
+        vals = plane_stack(arc.points, st.config.a, st.L)
+        top = vals.max(axis=0)
+        assert (top - vals[arc.j]).max() <= tie and (top - vals[arc.k]).max() <= tie
+    for z in cs.triple_points:
+        vals = plane_stack(z, st.config.a, st.L)
+        assert np.sum(vals.max() - vals <= tie) == 3
+
+
+EDGE_CASES = {"thin": THIN_REGION_A, "short_arc": SHORT_ARC_CASES[0][0]}
+
+
+@pytest.mark.parametrize("name", ["cfg_single", "cfg_pair", "cfg_level2", "cfg_level2_frac",
+                                  "cfg_level3", "cfg_branchy", *EDGE_CASES])
+def test_curve_carries_unit_zero_mass(name, request):
+    # the thin sliver and short_arc lost whole interfaces to the lattice tracer
+    cfg = _unit_cfg(EDGE_CASES[name]) if name in EDGE_CASES else request.getfixturevalue(name)
+    st = solve_structure(cfg)
+    cs = trace_curve(st, grid=400, tol=1e-8)
+    assert abs(_zero_mass(st, cs) - 1.0) < 1e-4
+    _assert_exact_curve(st, cs)
+
+
+def test_tolerance_below_float_spacing_ends(cfg_pair):
+    st = solve_structure(cfg_pair)
+    _assert_exact_curve(st, trace_curve(st, grid=50, tol=1e-20), tie=1e-14)
+
+
+def test_random_curves_exact():
+    for cfg in random_generic_configs(150, seed=5):
+        st = solve_structure(cfg)
+        cs = trace_curve(st, grid=400, tol=1e-8)
+        assert abs(_zero_mass(st, cs) - 1.0) < 1e-4
+        _assert_exact_curve(st, cs)
+        assert _labels(trace_curve(st, grid=0, tol=1e-8)) == set(range(cfg.nu + 1))
 
 
 def test_pair_curve_has_triple_points(cfg_pair):

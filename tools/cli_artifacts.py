@@ -44,8 +44,9 @@ LARGE_N = {f"pair_n{n}": {**CONFIGS["pair"], "n": n} for n in (40, 96, 128)}
 # two fractional points 0.05 apart, so r_j = 0.0225: the quadrature's cutoff
 # must switch within these small disks and still let mesh doubling converge
 CLOSE_PAIR = {"close_pair": {"a": [[0.5, 0.0], [0.53, 0.04]], "c": [0.5, 0.5], "n": 8}}
-# region 2 of "thin" holds no node of a 201 x 201 lattice; the 3-point arc
-# (0, 4) of "short_arc" at grid 20 needs orientation by the plane gradients
+# region 2 of "thin" is a sliver that holds no node of a 201 x 201 lattice
+# (its two arcs are 0.07 long); "short_arc" at grid 20 has a 2|4 interface
+# 0.34 long and a 3-point 0|2 arc 0.008 long, oriented by the plane gradients
 EDGE_CASES = {
     "thin": {"a": [[-0.26603533053930284, -0.2312551562679013],
                    [0.34438873360971434, 0.23521115687641278],
@@ -98,6 +99,8 @@ def commands(out: str, cfgs: dict[str, str]):
     yield name, ["oracle", cfgs["level2_frac"], "--method", "quad", "--degree", "12",
                  "--out", path(name + ".csv"), "--moments-out", path(name + "_moments.json")]
     yield "levels_thin", ["levels", cfgs["thin"]]
+    name = "curve_thin_400"
+    yield name, ["curve", cfgs["thin"], "--grid", "400", "--out", path(name + ".csv")]
     name = "curve_short_arc_20"
     yield name, ["curve", cfgs["short_arc"], "--grid", "20", "--out", path(name + ".csv")]
     name = "compare_quad_pair_6"
