@@ -4,13 +4,15 @@ The oracle never uses asymptotics: moments of the planar weight are
 computed either exactly (integer exponents, closed-form Gaussian
 moments) or by polar quadrature (any exponents), the monic polynomial
 comes from the Hermitian Gram solve, and roots from simultaneous
-Aberth-Ehrlich iteration finished in double-double.  Both moment methods
-carry moments and coefficients in double-double precision (``ddnum``) so
-that degrees past ~20 keep usable orthogonality residuals.  Each Aberth
-sweep evaluates p and p' in one stacked pass: ``np.polyval``'s steps in
-the double stage, ``ddnum.horner_stack`` in the double-double one.  The
-Gram condition number, an SVD, is computed when it is first read, except
-that the quadrature path checks it before its solve.
+Aberth-Ehrlich iteration finished in double-double, started on circles
+read off the Newton polygon of the coefficients, near the roots' moduli.
+Both moment methods carry moments and coefficients in double-double
+precision (``ddnum``) so that degrees past ~20 keep usable orthogonality
+residuals.  Each Aberth sweep evaluates p and p' in one stacked pass:
+``np.polyval``'s steps in the double stage, ``ddnum.horner_stack`` in
+the double-double one.  The Gram condition number, an SVD, is computed
+when it is first read, except that the quadrature path checks it before
+its solve.
 
 Quadrature moments on a fractional exponent are limited by two counts,
 which each mesh doubling halves: the Gauss-Jacobi radial nodes of the
@@ -532,10 +534,45 @@ def _dd_newton(poly: MonicPolynomial):
     return lambda z: tuple(dd.value(dd.horner_stack(stack, z)))
 
 
+def _newton_polygon_start(b):
+    """Bini's starting points for Aberth's method (Numer. Algorithms 13, 1996).
+
+    The upper convex hull of the points (k, log|b_k|) over the nonzero
+    ascending coefficients b has edges [k_i, k_i+1]; each puts its
+    m = k_i+1 - k_i starts on the circle |z| = (|b_k_i| / |b_k_i+1|)^(1/m),
+    at angles 2 pi (j/m + k_i/n) + 0.42.  The k roots at 0 that zero low
+    coefficients b_0 = ... = b_k-1 = 0 leave start on a circle of half
+    the smallest hull radius, or of radius 1 when the hull has no edge.
+    """
+    n = len(b) - 1
+    ks = np.flatnonzero(b)
+    logs = np.log(np.abs(b[ks]))
+    hull = []    # positions in ks of the hull's corners, left to right
+    for i in range(ks.size):
+        # drop the last corner while it lies on or below the chord to i
+        while len(hull) >= 2:
+            h0, h1 = hull[-2:]
+            if (ks[h1] - ks[h0]) * (logs[i] - logs[h0]) < (logs[h1] - logs[h0]) * (ks[i] - ks[h0]):
+                break
+            hull.pop()
+        hull.append(i)
+    # the radius of an edge is e^(-slope)
+    edges = [(ks[i], ks[j], math.exp((logs[i] - logs[j]) / (ks[j] - ks[i])))
+             for i, j in zip(hull[:-1], hull[1:])]
+    if ks[0] > 0:
+        edges.insert(0, (0, ks[0], 0.5 * min(r for *_, r in edges) if edges else 1.0))
+    return np.concatenate([
+        r * np.exp(1j * (2.0 * math.pi * (np.arange(k1 - k0) / (k1 - k0) + k0 / n) + 0.42))
+        for k0, k1, r in edges])
+
+
 def roots(poly: MonicPolynomial):
     """All roots by Aberth-Ehrlich iteration, finished in double-double.
 
-    A double stage runs until every |p(z)| is down to the rounding level
+    The iteration starts on circles near the roots' moduli, read off the
+    Newton polygon of the coefficients (``_newton_polygon_start``); on
+    FIG4 at n = N = 64 the double stage takes 20 sweeps from there.  A
+    double stage runs until every |p(z)| is down to the rounding level
     of its evaluation, then a double-double stage until every correction
     is below 4 eps (1 + |z|) or the largest has set no new minimum for
     ABERTH_STALL_SWEEPS sweeps.  Returns (roots, residuals), the
@@ -547,15 +584,7 @@ def roots(poly: MonicPolynomial):
     if n < 1:
         raise ValueError("degree must be >= 1")
     b, eps = poly.coeffs, np.finfo(float).eps
-
-    # Fujiwara-style initial radius around the coefficient centroid
-    center = -b[n - 1] / n
-    mags = [abs(b[k]) ** (1.0 / (n - k)) for k in range(n) if b[k] != 0]
-    radius = 1.0 + (2.0 * max(mags) if mags else 1.0)
-    angles = 2.0 * math.pi * (np.arange(n) + 0.35) / n + 0.42
-    z = center + radius * np.exp(1j * angles)
-
-    z = _aberth(z, _double_newton(b), lambda z, p, corr, bound:
+    z = _aberth(_newton_polygon_start(b), _double_newton(b), lambda z, p, corr, bound:
                 np.all(np.abs(p) <= 8 * (n + 1) * eps * bound))
     dd_newton = _dd_newton(poly)
 

@@ -6,7 +6,9 @@ directly, the crossing counter does raw segment/ray geometry, the
 unit-exponent inner error comes from the closed-form polynomial in plain
 floats, the expansion coefficients of f_c come from math.gamma, and the
 moments of one real point come from the angular closed form and a
-one-dimensional radial integral.
+one-dimensional radial integral.  Two helpers feed the package inputs:
+a seeded stream of generic configurations, and the Fujiwara circle that
+``oracle.roots`` once started from, kept to show what its start changes.
 """
 
 import math
@@ -14,6 +16,37 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import binom, hyp2f1
+
+from mszego.core import Configuration, validate_config
+from mszego.szego import solve_structure
+
+
+def random_generic_configs(count, seed=0, max_nu=4):
+    """Seeded stream of validated generic configurations."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        nu = int(rng.integers(1, max_nu + 1))
+        pts = 0.15 + 0.75 * rng.random(nu)
+        a = tuple(p * np.exp(2j * np.pi * rng.random()) for p in pts)
+        try:
+            cfg = validate_config(Configuration(a=a, c=(1.0,) * nu, n=20, N=None))
+            solve_structure(cfg)
+        except Exception:
+            continue
+        out.append(cfg)
+    return out
+
+
+def fujiwara_start(b):
+    """The Aberth start oracle.roots used before its Newton-polygon start:
+    n points on a Fujiwara-style circle around the coefficient centroid."""
+    n = len(b) - 1
+    center = -b[n - 1] / n
+    mags = [abs(b[k]) ** (1.0 / (n - k)) for k in range(n) if b[k] != 0]
+    radius = 1.0 + (2.0 * max(mags) if mags else 1.0)
+    angles = 2.0 * math.pi * (np.arange(n) + 0.35) / n + 0.42
+    return center + radius * np.exp(1j * angles)
 
 
 def f_contour(zeta, c, r=None):

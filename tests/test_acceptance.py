@@ -35,8 +35,7 @@ from mszego.specfun import E_c, FcEvaluator, f_c, zeros_E_c
 from mszego.szego import phi_L, solve_structure, trace_curve
 
 from conftest import A1
-from support import alpha, unit_point_inner_error
-from test_szego import random_generic_configs
+from support import alpha, random_generic_configs, unit_point_inner_error
 
 FIG4_A = (0.5 - 0.5j, -0.25 - 0.5j)
 

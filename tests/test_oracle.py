@@ -19,7 +19,7 @@ from mszego.oracle import (IllConditioned, MomentMatrix, NoConvergence,
 from mszego.szego import solve_structure, trace_curve
 
 from conftest import A1
-from support import real_point_moments
+from support import fujiwara_start, random_generic_configs, real_point_moments
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +339,93 @@ def test_roots_triple_zero():
     poly = monic_from_coeffs([0.0, 0.0, 0.0, 1.0])
     rts, _ = roots(poly)
     assert np.max(np.abs(rts)) < 1e-4
+
+
+@pytest.mark.parametrize("coeffs, exact", [
+    ([0.0, 0.0, -0.5, -0.5, 1.0], [0.0, 0.0, -0.5, 1.0]),        # z^2 (z - 1)(z + 1/2)
+    ([-1.0] + [0.0] * 15 + [1.0], np.exp(2j * np.pi * np.arange(16) / 16)),  # z^16 - 1
+])
+def test_roots_zero_and_unit_circle_coefficients(coeffs, exact):
+    # zero low coefficients leave roots at 0 that the Newton polygon has
+    # no edge for; they start on their own circle
+    rts, resid = roots(monic_from_coeffs(coeffs))
+    assert resid.max() <= oracle.ROOT_TOL
+    for w in exact:
+        dist = np.min(np.abs(rts - w))
+        assert dist < (1e-4 if w == 0 else 1e-12)
+
+
+FIG4_A = (0.5 - 0.5j, -0.25 - 0.5j)
+
+
+def _fig4(n):
+    return validate_config(Configuration(a=FIG4_A, c=(1.0, 1.0), n=n, N=None))
+
+
+def _roots_from_fujiwara(monkeypatch, poly):
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_newton_polygon_start", fujiwara_start)
+        return roots(poly)
+
+
+@pytest.mark.parametrize("a, c, n", [
+    *((FIG4_A, (1.0, 1.0), n) for n in (16, 32, 48, 64)),
+    ((0.69 - 0.18j, 0.29 - 0.2j, 0.17 - 0.05j), (1.0, 1.0, 1.0), 64),    # cfg_level3
+    ((A1,), (1.0,), 64),                                                    # one point
+    ((0.6,), (0.5,), 8),                                     # quadrature moments
+])
+def test_roots_start_moves_no_bit(a, c, n, monkeypatch):
+    # the Newton-polygon start against the Fujiwara circle it replaced
+    cfg = validate_config(Configuration(a=a, c=c, n=n, N=None))
+    moments = exact_moments(cfg) if c[0] == 1.0 else quad_moments(cfg)
+    poly = monic_op(moments, n)
+    got, want = roots(poly), _roots_from_fujiwara(monkeypatch, poly)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_roots_start_at_n96_moves_roots_within_rounding(monkeypatch):
+    # at n = N = 96 the double-double stage does most of the work, and a
+    # few roots end some roundings away from where the Fujiwara start left them
+    ref = _reference()
+    n = 96
+    poly = monic_op(exact_moments(_fig4(n)), n)
+    rts, _ = roots(poly)
+    old, _ = _roots_from_fujiwara(monkeypatch, poly)
+    assert np.max(np.abs(rts - old) / np.abs(old)) <= 1e-15
+    truth = ref.FixedPointPoly(ref.monic_poly(ref.exact_moments(FIG4_A, (1, 1), n, n),
+                                              n, band=2))
+    assert truth.newton_steps(rts).max() <= 2e-16
+
+
+def test_roots_double_stage_sweeps(monkeypatch):
+    # the cold start costs the double stage 72 sweeps on FIG4 at n = 64
+    # from the Fujiwara circle, about 20 from the Newton polygon
+    poly = monic_op(exact_moments(_fig4(64)), 64)
+    aberth, calls = oracle._aberth, []
+
+    def counted(z, newton, done):
+        calls.append(0)
+
+        def counting(z):
+            calls[-1] += 1
+            return newton(z)
+        return aberth(z, counting, done)
+
+    monkeypatch.setattr(oracle, "_aberth", counted)
+    roots(poly)
+    first = list(calls)
+    roots(poly)
+    assert calls == first * 2
+    assert first[0] <= 25
+
+
+def test_roots_random_configurations():
+    # integer exponents at n = N up to 64 on generic configurations
+    for cfg, n in zip(random_generic_configs(20, seed=37), range(7, 65, 3)):
+        cfg = cfg.replace_degree(n)
+        _, resid = roots(monic_op(exact_moments(cfg), n))
+        assert resid.max() <= oracle.ROOT_TOL
 
 
 def monic_from_coeffs(coeffs):

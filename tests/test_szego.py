@@ -9,25 +9,9 @@ from mszego.szego import (NonGeneric, SzegoStructure, classify, classify_many,
                           solve_levels, solve_structure, trace_curve)
 
 from conftest import A1, NON_GENERIC_A, THIN_REGION_A
+from support import random_generic_configs
 
 L1 = math.log(A1) - 0.5  # level constant of the single-point picture
-
-
-def random_generic_configs(count, seed=0, max_nu=4):
-    """Seeded stream of validated generic configurations."""
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        nu = int(rng.integers(1, max_nu + 1))
-        pts = 0.15 + 0.75 * rng.random(nu)
-        a = tuple(p * np.exp(2j * np.pi * rng.random()) for p in pts)
-        try:
-            cfg = validate_config(Configuration(a=a, c=(1.0,) * nu, n=20, N=None))
-            solve_structure(cfg)
-        except Exception:
-            continue
-        out.append(cfg)
-    return out
 
 
 # -- phi_L -------------------------------------------------------------------

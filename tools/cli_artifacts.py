@@ -39,8 +39,10 @@ CONFIGS = {
 INTEGER = ("single", "pair", "level2", "level3")
 # the pair at n = N: at 40 the raw quadrature Gram condition is 2.4e16; at 128
 # the double-double coefficients hold the roots to about 1e-10 only, so
-# `oracle` refuses them (exit 4)
+# `oracle` refuses them (exit 4).  With the pair at 96, the single point and
+# the three-point chain at n = N = 64 pin the cold start of `roots`.
 LARGE_N = {f"pair_n{n}": {**CONFIGS["pair"], "n": n} for n in (40, 96, 128)}
+LARGE_N.update({f"{key}_n64": {**CONFIGS[key], "n": 64} for key in ("single", "level3")})
 # two fractional points 0.05 apart, so r_j = 0.0225: the quadrature's cutoff
 # must switch within these small disks and still let mesh doubling converge
 CLOSE_PAIR = {"close_pair": {"a": [[0.5, 0.0], [0.53, 0.04]], "c": [0.5, 0.5], "n": 8}}
@@ -85,7 +87,7 @@ def commands(out: str, cfgs: dict[str, str]):
                      "--moments-out", path(name + "_moments.json")]
         name = f"oracle_{key}_40"
         yield name, ["oracle", cfg, "--degree", "40", "--out", path(name + ".csv")]
-    for key in ("pair_n96", "pair_n128"):
+    for key in ("pair_n96", "pair_n128", "single_n64", "level3_n64"):
         name = f"oracle_{key}"
         yield name, ["oracle", cfgs[key], "--out", path(name + ".csv")]
     for key, degree in (("branchy", 3), ("pair", 6), ("pair_n40", 40), ("close_pair", 8)):
