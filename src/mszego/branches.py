@@ -10,12 +10,16 @@ the ray of direction ``phi``.  Conventions used throughout:
   their ``+`` side is the left side of that direction of travel;
 * crossing a cut from the - side to the + side multiplies the power by
   ``eta_j = exp(-2*pi*i*c_j)``;
-* the re-cut variant anchored on the a_k ray (``pow_a_Bk``) agrees with
-  the plain power on the whole ray through ``a_k`` and moves the
-  discontinuity to the ray from ``a_j`` pointing away from ``a_k``.
+* the re-cut variant anchored on the a_k ray (``pow_a_Bk``) moves the
+  discontinuity to the ray from ``a_j`` pointing away from ``a_k``; its
+  window is that ray's angle lifted into ``[arg a_j - pi, arg a_j + pi)``,
+  which makes it agree with the plain power on the whole ray through
+  ``a_k``;
+* the phase constant ``eta_tilde(k, j)`` is a whole number of turns,
+  ``exp(2*pi*i*sum(c_m*n_m))``, with ``n_m`` the turns between the two
+  windows of point m at ``a_j``.
 
-Points within ``ONCUT_TOL`` of a relevant cut raise :class:`OnCut`;
-callers needing boundary values offset by ~1e-8 to a chosen side.
+Points within ``ONCUT_TOL`` of a relevant cut raise :class:`OnCut`.
 """
 
 from __future__ import annotations
@@ -24,14 +28,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Configuration
 
 __all__ = ["OnCut", "BranchContext"]
 
 ONCUT_TOL = 1e-12
-SIDE_OFFSET = 1e-8   # conventional boundary-value offset for callers
 
 
 class OnCut(Exception):
@@ -55,7 +56,7 @@ def _ray_distance(z: complex, origin: complex, direction: complex) -> float:
 
 @dataclass(frozen=True)
 class BranchContext:
-    """All cut geometry and branch anchors for one configuration.
+    """All cut geometry and branch windows for one configuration.
 
     ``branch_shift[j]`` rotates the free overall branch of the j-th
     power by ``exp(-2*pi*i*c_j*shift)``; results of the full asymptotic
@@ -71,19 +72,18 @@ class BranchContext:
             object.__setattr__(self, "branch_shift", (0,) * self.config.nu)
         if len(self.branch_shift) != self.config.nu:
             raise ValueError("branch_shift length must equal nu")
-        # a cache, not a field: the constructor cannot set it
-        object.__setattr__(self, "_anchor_phase", {})
-        for j in range(1, self.config.nu + 1):
-            for k in range(1, self.config.nu + 1):
-                if j != k:
-                    self._anchor_phase[(j, k)] = self._compute_anchor_phase(j, k)
-
-    # -- monodromy ----------------------------------------------------
-
-    @property
-    def eta(self) -> tuple[complex, ...]:
-        """Monodromy factors exp(-2*pi*i*c_j)."""
-        return tuple(cmath.exp(-2j * math.pi * cj) for cj in self.config.c)
+        # a cache, not a field: the constructor cannot set it.  The cut
+        # angle of point j in the k branch system: arg a_j for k == j, else
+        # arg(a_j - a_k) lifted into [arg a_j - pi, arg a_j + pi), so that
+        # both windows hold the whole a_k ray, which meets neither cut
+        a = self.config.a
+        angles = {}
+        for j, aj in enumerate(a, start=1):
+            phi = cmath.phase(aj)
+            for k, ak in enumerate(a, start=1):
+                angles[(j, k)] = phi if j == k else \
+                    phi - math.pi + (cmath.phase(aj - ak) - phi + math.pi) % (2.0 * math.pi)
+        object.__setattr__(self, "_cut_angle", angles)
 
     # -- primitive powers ----------------------------------------------
 
@@ -133,28 +133,6 @@ class BranchContext:
 
     # -- re-cut powers ---------------------------------------------------
 
-    def _anchor_point(self, j: int, k: int) -> complex:
-        """A point of the a_k ray well clear of the cuts tied to (j, k)."""
-        a = self.config.a
-        aj, ak = a[j - 1], a[k - 1]
-        best, best_score = 0.5 * ak, -1.0
-        for t in np.linspace(0.15, 0.95, 17):
-            p = t * ak
-            score = min(
-                _ray_distance(p, aj, aj),
-                _ray_distance(p, aj, aj - ak),
-            )
-            if score > best_score:
-                best, best_score = p, score
-        return best
-
-    def _compute_anchor_phase(self, j: int, k: int) -> complex:
-        p = self._anchor_point(j, k)
-        aj = self.config.a[j - 1]
-        base = self._power(p - aj, self.config.c[j - 1],
-                           cmath.phase(aj - self.config.a[k - 1]), 0)
-        return self.pow_a(p, j) / base
-
     def pow_a_Bk(self, z: complex, j: int, k: int) -> complex:
         """(z - a_j)^(c_j) continued so it matches pow_a on the a_k ray.
 
@@ -164,60 +142,27 @@ class BranchContext:
         if j == k:
             return self.pow_a(z, j)
         aj = self.config.a[j - 1]
-        ak = self.config.a[k - 1]
-        self._check_ray(z, aj, aj - ak, f"the cut of point {j} re-anchored at {k}")
-        base = self._power(z - aj, self.config.c[j - 1], cmath.phase(aj - ak), 0)
-        return self._anchor_phase[(j, k)] * base
-
-    # -- products ----------------------------------------------------------
-
-    def eval_W(self, z: complex) -> complex:
-        """Product of all plain powers; cuts on every outward ray."""
-        out = 1.0 + 0j
-        for j in range(1, self.config.nu + 1):
-            out *= self.pow_a(z, j)
-        return out
-
-    def eval_Wk(self, z: complex, k: int) -> complex:
-        """Product of the k-anchored powers; cuts on the k cut system."""
-        out = 1.0 + 0j
-        for j in range(1, self.config.nu + 1):
-            out *= self.pow_a_Bk(z, j, k)
-        return out
+        self._check_ray(z, aj, aj - self.config.a[k - 1],
+                        f"the cut of point {j} re-anchored at {k}")
+        return self._power(z - aj, self.config.c[j - 1], self._cut_angle[(j, k)],
+                           self.branch_shift[j - 1])
 
     # -- phase constants ----------------------------------------------------
 
     def eta_tilde(self, k: int, j: int) -> complex:
         """The unit-modulus constant comparing the j and k branch systems.
 
-        Evaluated just off the cut from a_j away from a_k, on its + side;
-        the value is independent of the sample point, which the tests
-        check by sampling along the cut.
+        It is ``[B_jk/A_j] * [W_j/W_k]`` on the cut from a_j away from a_k,
+        with ``W_k`` the product of the k-anchored powers.  The a_j powers
+        cancel and every other power is continuous up to a_j, where the
+        two windows of point m differ by ``n_m`` whole turns; the sum
+        ``sum(c_m * n_m)`` is reduced by whole turns before ``exp``.
         """
-        return self._eta_tilde_at(k, j, self._eta_tilde_point(k, j))
-
-    def _eta_tilde_point(self, k: int, j: int, t: float | None = None) -> complex:
-        a = self.config.a
-        aj, ak = a[j - 1], a[k - 1]
-        d = aj - ak
-        u = d / abs(d)
-        if t is None:
-            # stay inside |z| <= 2 and clear of unrelated cuts
-            t_cap = max(0.1, min(1.0, (2.0 - abs(aj)) / abs(d)))
-            cand = [f * t_cap for f in (0.5, 0.35, 0.65, 0.2, 0.8)]
-            others = [(a[m - 1], a[m - 1]) for m in range(1, self.config.nu + 1)]
-            others += [(a[m - 1], a[m - 1] - ak) for m in range(1, self.config.nu + 1)
-                       if m not in (j, k)]
-            others += [(a[m - 1], a[m - 1] - aj) for m in range(1, self.config.nu + 1)
-                       if m != j]
-
-            def clearance(tv):
-                p = aj + d * tv
-                return min(_ray_distance(p, o, v) for o, v in others)
-
-            t = max(cand, key=clearance)
-        return aj + d * t + SIDE_OFFSET * 1j * u
-
-    def _eta_tilde_at(self, k: int, j: int, z: complex) -> complex:
-        return (self.pow_a_Bk(z, j, k) / self.pow_a(z, j)) \
-            * (self.eval_Wk(z, j) / self.eval_Wk(z, k))
+        aj = self.config.a[j - 1]
+        turns = 0.0
+        for m in range(1, self.config.nu + 1):
+            if m != j:
+                w = aj - self.config.a[m - 1]
+                d = _arg_cut(w, self._cut_angle[(m, j)]) - _arg_cut(w, self._cut_angle[(m, k)])
+                turns += self.config.c[m - 1] * round(d / (2.0 * math.pi))
+        return cmath.exp(2j * math.pi * (turns - round(turns)))

@@ -11,6 +11,7 @@ a seeded stream of generic configurations, and the Fujiwara circle that
 ``oracle.roots`` once started from, kept to show what its start changes.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -108,6 +109,40 @@ def crossing_sign(q0, q1, origin, direction):
     return 0
 
 
+def eta(ctx):
+    """Monodromy factors exp(-2*pi*i*c_j) of the plain powers."""
+    return tuple(cmath.exp(-2j * math.pi * cj) for cj in ctx.config.c)
+
+
+def eval_W(ctx, z):
+    """Product of all plain powers; cuts on every outward ray."""
+    out = 1.0 + 0j
+    for j in range(1, ctx.config.nu + 1):
+        out *= ctx.pow_a(z, j)
+    return out
+
+
+def eval_Wk(ctx, z, k):
+    """Product of the k-anchored powers; cuts on the k cut system."""
+    out = 1.0 + 0j
+    for j in range(1, ctx.config.nu + 1):
+        out *= ctx.pow_a_Bk(z, j, k)
+    return out
+
+
+def sampled_eta_tilde(ctx, k, j, t):
+    """eta_tilde(k, j) as a ratio of powers, [B_jk/A_j] * [W_j/W_k].
+
+    Sampled at a_j + t*(a_j - a_k), 1e-8 to the + side of the cut from
+    a_j away from a_k.
+    """
+    aj, ak = ctx.config.a[j - 1], ctx.config.a[k - 1]
+    d = aj - ak
+    z = aj + t * d + 1e-8j * d / abs(d)
+    return (ctx.pow_a_Bk(z, j, k) / ctx.pow_a(z, j)) \
+        * (eval_Wk(ctx, z, j) / eval_Wk(ctx, z, k))
+
+
 def ray_product(ctx, q0, q1, skip=()):
     """Product of monodromy factors collected along q0->q1.
 
@@ -115,13 +150,13 @@ def ray_product(ctx, q0, q1, skip=()):
     eta_m^(-sign); cuts listed in ``skip`` are ignored.
     """
     cfg = ctx.config
-    eta = ctx.eta
+    factors = eta(ctx)
     out = 1.0 + 0j
     for m in range(1, cfg.nu + 1):
         if m in skip:
             continue
         s = crossing_sign(q0, q1, cfg.a[m - 1], cfg.a[m - 1])
-        out *= eta[m - 1] ** (-s)
+        out *= factors[m - 1] ** (-s)
     return out
 
 

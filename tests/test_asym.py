@@ -303,3 +303,18 @@ def test_fractional_exponent_region_error_small():
     assert model.classify(z1) == 1
     pv1 = poly_eval(p, z1)
     assert abs(model.eval_region(z1, 1) - pv1) / abs(pv1) < 0.25
+
+
+def test_lifted_window_region_term_against_quadrature():
+    # arg(a_2 - a_1) lies more than pi from arg a_2, so the window of the
+    # 1-anchored power of point 2 is lifted by a whole turn; a wrong turn
+    # multiplies the region-1 term by exp(2*pi*i*1.5) = -1
+    a1, a2 = 0.41 - 0.27j, -0.48 - 0.08j
+    assert cmath.phase(a2 - a1) - cmath.phase(a2) > math.pi
+    cfg = validate_config(Configuration(a=(a1, a2), c=(0.5, 1.5), n=32, N=None))
+    assert cfg.N == 32
+    model = build_model(cfg)
+    z = 0.32 - 0.08j
+    assert model.classify(z) == 1
+    pv = poly_eval(monic_op(quad_moments(cfg), 32), z)
+    assert abs(pv / model.eval_region(z, 1) - 1.0) <= 0.05

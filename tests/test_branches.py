@@ -1,18 +1,37 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mszego.branches import BranchContext, OnCut
-from mszego.core import Configuration, validate_config
+from mszego.core import ConfigError, Configuration, validate_config
 
-from support import ray_product
+from support import eta, eval_W, eval_Wk, ray_product, sampled_eta_tilde
 
 
 @pytest.fixture(scope="module")
 def ctx(cfg_branchy):
     return BranchContext(cfg_branchy)
+
+
+@pytest.fixture(scope="module")
+def random_ctxs():
+    """Seeded non-collinear configurations, nu = 2..4, fractional exponents."""
+    rng = np.random.default_rng(3)
+    out = []
+    while len(out) < 120:
+        nu = int(rng.integers(2, 5))
+        a = tuple(complex(p * np.exp(2j * np.pi * rng.random()))
+                  for p in 0.15 + 0.75 * rng.random(nu))
+        c = tuple(float(x) for x in rng.uniform(-0.9, 3.0, nu))
+        try:
+            cfg = validate_config(Configuration(a=a, c=c, n=20, N=None))
+        except ConfigError:
+            continue
+        out.append(BranchContext(cfg))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +42,18 @@ def ctx_int():
 
 
 def test_eta_values(ctx):
-    for cj, ej in zip(ctx.config.c, ctx.eta):
-        assert abs(ej - cmath.exp(-2j * math.pi * cj)) < 1e-15
+    # a unit branch shift of point j rotates its power by eta_j
+    z = 0.3 - 0.9j
+    for j in (1, 2, 3):
+        shift = tuple(int(m == j) for m in (1, 2, 3))
+        rotated = BranchContext(ctx.config, branch_shift=shift)
+        ratio = rotated.pow_a(z, j) / ctx.pow_a(z, j)
+        assert abs(ratio - eta(ctx)[j - 1]) < 1e-14
     # unit exponents give trivial monodromy
     cfg = validate_config(Configuration(a=(0.3,), c=(1.0,), n=4, N=None))
-    assert abs(BranchContext(cfg).eta[0] - 1.0) < 1e-15
+    unit = BranchContext(cfg)
+    assert abs(eta(unit)[0] - 1.0) < 1e-15
+    assert abs(BranchContext(cfg, branch_shift=(1,)).pow_a(z, 1) - unit.pow_a(z, 1)) < 1e-15
 
 
 def test_integer_exponent_plain_products(ctx_int):
@@ -37,8 +63,8 @@ def test_integer_exponent_plain_products(ctx_int):
         assert abs(ctx_int.pow_a(z, 2) - (z - a2)) < 1e-14
         assert abs(ctx_int.pow_z(z, 1) - z * z) < 1e-12 * abs(z) ** 2
         for k in (1, 2):
-            assert abs(ctx_int.eval_Wk(z, k) - ctx_int.eval_W(z)) \
-                < 1e-12 * abs(ctx_int.eval_W(z))
+            assert abs(eval_Wk(ctx_int, z, k) - eval_W(ctx_int, z)) \
+                < 1e-12 * abs(eval_W(ctx_int, z))
             for j in (1, 2):
                 assert abs(ctx_int.pow_a_Bk(z, j, k) - ctx_int.pow_a(z, j)) \
                     < 1e-12 * abs(ctx_int.pow_a(z, j))
@@ -51,7 +77,7 @@ def test_jump_across_outward_cut(ctx):
         u = aj / abs(aj)
         p = 1.4 * aj
         ratio = ctx.pow_a(p + 1e-8j * u, j) / ctx.pow_a(p - 1e-8j * u, j)
-        assert abs(ratio - ctx.eta[j - 1]) < 1e-6
+        assert abs(ratio - eta(ctx)[j - 1]) < 1e-6
 
 
 def test_oncut_raises(ctx):
@@ -86,23 +112,25 @@ def test_recut_power_boundary_ratio(ctx):
             z = aj + 0.6 * (aj - ak) + 1e-8j * u
             ratio = ctx.pow_a(z, j) / ctx.pow_a_Bk(z, j, k)
             phi = cmath.phase(aj / ak)
-            expect = 1.0 if 0 < phi <= math.pi else 1.0 / ctx.eta[j - 1]
+            expect = 1.0 if 0 < phi <= math.pi else 1.0 / eta(ctx)[j - 1]
             assert abs(ratio - expect) < 1e-6
 
 
-def test_recut_power_equals_plain_on_anchor_ray(ctx):
-    for j, k in ((1, 2), (3, 2), (2, 3), (2, 1)):
-        for t in (0.2, 0.77, 1.0, 1.3):
-            z = t * ctx.config.a[k - 1]
-            v = ctx.pow_a(z, j)
-            assert abs(ctx.pow_a_Bk(z, j, k) - v) < 1e-12 * abs(v)
+def test_recut_power_equals_plain_on_anchor_ray(ctx, random_ctxs):
+    for c in [ctx] + random_ctxs:
+        nu = c.config.nu
+        for j, k in itertools.permutations(range(1, nu + 1), 2):
+            for t in np.linspace(0.05, 1.3, 6):
+                z = t * c.config.a[k - 1]
+                v = c.pow_a(z, j)
+                assert abs(c.pow_a_Bk(z, j, k) - v) < 1e-12 * abs(v)
 
 
 def test_wk_equals_w_near_anchor_ray(ctx):
     for k in (1, 2, 3):
         z = 0.6 * ctx.config.a[k - 1] + 1e-9j
-        w = ctx.eval_W(z)
-        assert abs(ctx.eval_Wk(z, k) - w) < 1e-12 * abs(w)
+        w = eval_W(ctx, z)
+        assert abs(eval_Wk(ctx, z, k) - w) < 1e-12 * abs(w)
 
 
 def test_continuation_crossing_products(ctx):
@@ -114,7 +142,7 @@ def test_continuation_crossing_products(ctx):
         z = complex(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6))
         for k in (1, 2, 3):
             try:
-                got = ctx.eval_Wk(z, k) / ctx.eval_W(z)
+                got = eval_Wk(ctx, z, k) / eval_W(ctx, z)
             except OnCut:
                 continue
             expect = ray_product(ctx, ctx.config.a[k - 1], z, skip=(k,))
@@ -133,28 +161,42 @@ def test_boundary_values_on_moved_cut(ctx):
             u = (aj - ak) / abs(aj - ak)
             z0 = aj + 0.4 * (aj - ak)
             prod = ray_product(ctx, ak, z0, skip=(j, k))
-            gp = ctx.eval_Wk(z0 + 1e-8j * u, k) / ctx.eval_Wk(z0 + 1e-8j * u, j)
-            gm = ctx.eval_Wk(z0 - 1e-8j * u, k) / ctx.eval_Wk(z0 - 1e-8j * u, j)
+            gp = eval_Wk(ctx, z0 + 1e-8j * u, k) / eval_Wk(ctx, z0 + 1e-8j * u, j)
+            gm = eval_Wk(ctx, z0 - 1e-8j * u, k) / eval_Wk(ctx, z0 - 1e-8j * u, j)
             if 0 < cmath.phase(aj / ak) <= math.pi:
                 assert abs(gp - prod) < 1e-6
-                assert abs(gm - prod / ctx.eta[j - 1]) < 1e-6
+                assert abs(gm - prod / eta(ctx)[j - 1]) < 1e-6
             else:
-                assert abs(gp - ctx.eta[j - 1] * prod) < 1e-6
+                assert abs(gp - eta(ctx)[j - 1] * prod) < 1e-6
                 assert abs(gm - prod) < 1e-6
 
 
 def test_eta_tilde_unit_modulus_and_constancy(ctx):
+    # the ratio of powers sampled along the cut from a_j away from a_k is
+    # one constant, and the closed form is that constant
     for j, k in ((1, 2), (2, 1), (2, 3), (3, 1)):
-        vals = [ctx._eta_tilde_at(k, j, ctx._eta_tilde_point(k, j, t))
-                for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        vals = [sampled_eta_tilde(ctx, k, j, t) for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert abs(abs(vals[0]) - 1.0) < 1e-10
         assert max(abs(v - vals[0]) for v in vals) < 1e-8
         assert abs(ctx.eta_tilde(k, j) - vals[2]) < 1e-8
 
 
-def test_eta_tilde_trivial_for_integer_exponents(ctx_int):
-    assert abs(ctx_int.eta_tilde(2, 1) - 1.0) < 1e-12
-    assert abs(ctx_int.eta_tilde(1, 2) - 1.0) < 1e-12
+def test_eta_tilde_equals_sampled_ratio_on_random_configs(random_ctxs):
+    nontrivial = 0
+    for c in random_ctxs:
+        for j, k in itertools.permutations(range(1, c.config.nu + 1), 2):
+            closed = c.eta_tilde(k, j)
+            for t in (0.1, 0.5):
+                assert abs(closed - sampled_eta_tilde(c, k, j, t)) < 1e-9
+            nontrivial += abs(closed - 1.0) > 1e-3
+    # the configurations reach windows a whole turn apart
+    assert nontrivial > 10
+
+
+def test_eta_tilde_trivial_for_integer_exponents(ctx_int, cfg_level2, cfg_level3):
+    for c in (ctx_int, BranchContext(cfg_level2), BranchContext(cfg_level3)):
+        for j, k in itertools.permutations(range(1, c.config.nu + 1), 2):
+            assert c.eta_tilde(k, j) == 1
 
 
 def test_eta_tilde_against_boundary_ratio(ctx):
@@ -164,9 +206,9 @@ def test_eta_tilde_against_boundary_ratio(ctx):
         aj, ak = ctx.config.a[j - 1], ctx.config.a[k - 1]
         u = (aj - ak) / abs(aj - ak)
         z = aj + 0.45 * (aj - ak) + 1e-8j * u
-        eta_kj = ctx.eval_Wk(z, j) / ctx.eval_Wk(z, k)
+        eta_kj = eval_Wk(ctx, z, j) / eval_Wk(ctx, z, k)
         expect = eta_kj if 0 < cmath.phase(aj / ak) <= math.pi \
-            else ctx.eta[j - 1] * eta_kj
+            else eta(ctx)[j - 1] * eta_kj
         assert abs(ctx.eta_tilde(k, j) - expect) < 1e-6
 
 

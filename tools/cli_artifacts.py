@@ -61,6 +61,11 @@ EDGE_CASES = {
                   "c": [1.0, 1.0, 1.0, 1.0], "n": 20},
 }
 
+# arg(a_2 - a_1) lies more than pi from arg a_2, so the window of the
+# 1-anchored power of point 2 is lifted by a whole turn; a wrong turn flips
+# the sign of the region-1 term (c_2 = 1.5)
+LIFTED = {"lifted": {"a": [[0.41, -0.27], [-0.48, -0.08]], "c": [0.5, 1.5], "n": 32}}
+
 
 def commands(out: str, cfgs: dict[str, str]):
     """(name, argv) of every run; each name prefixes the files it writes."""
@@ -103,6 +108,9 @@ def commands(out: str, cfgs: dict[str, str]):
     yield "levels_thin", ["levels", cfgs["thin"]]
     name = "curve_thin_400"
     yield name, ["curve", cfgs["thin"], "--grid", "400", "--out", path(name + ".csv")]
+    yield "levels_lifted", ["levels", cfgs["lifted"]]
+    name = "asymp_lifted_uniform"
+    yield name, ["asymp", cfgs["lifted"], "--mode", "uniform", "--out", path(name + ".csv")]
     name = "curve_short_arc_20"
     yield name, ["curve", cfgs["short_arc"], "--grid", "20", "--out", path(name + ".csv")]
     name = "compare_quad_pair_6"
@@ -136,7 +144,7 @@ def commands(out: str, cfgs: dict[str, str]):
 def run(out: str) -> None:
     os.makedirs(out, exist_ok=True)
     cfgs = {}
-    for key, doc in {**CONFIGS, **LARGE_N, **CLOSE_PAIR, **EDGE_CASES}.items():
+    for key, doc in {**CONFIGS, **LARGE_N, **CLOSE_PAIR, **EDGE_CASES, **LIFTED}.items():
         cfgs[key] = os.path.join(out, f"config_{key}.json")
         with open(cfgs[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
