@@ -163,6 +163,7 @@ def cmd_levels(args) -> list[str]:
         "chains": [list(ch) for ch in structure.chains],
         "levels": list(structure.levels),
         "chain_constants": [_json_complex(v) for v in model.chain_const],
+        "delta": structure.delta,
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)

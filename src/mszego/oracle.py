@@ -575,10 +575,10 @@ def roots(poly: MonicPolynomial):
     double stage runs until every |p(z)| is down to the rounding level
     of its evaluation, then a double-double stage until every correction
     is below 4 eps (1 + |z|) or the largest has set no new minimum for
-    ABERTH_STALL_SWEEPS sweeps.  Returns (roots, residuals), the
-    residuals being double-double Newton steps |p/p'| / (1 + |root|),
-    which estimate the forward error.  Raises NoConvergence if one is
-    above ROOT_TOL.
+    ABERTH_STALL_SWEEPS sweeps.  Returns (roots, residuals), sorted by
+    real part to 9 decimals, then by imaginary part; the residuals are
+    double-double Newton steps |p/p'| / (1 + |root|), which estimate the
+    forward error.  Raises NoConvergence if one is above ROOT_TOL.
     """
     n = poly.degree
     if n < 1:
@@ -603,7 +603,9 @@ def roots(poly: MonicPolynomial):
     if np.any(bad):
         raise NoConvergence(f"{np.sum(bad)} of {n} roots keep a Newton step above "
                             f"{ROOT_TOL:.0e} (largest {np.max(resid):.1e})")
-    order = np.lexsort((z.imag, z.real))
+    # roots whose real parts differ only in the last bits, such as a
+    # conjugate pair, are ordered by their imaginary parts
+    order = np.lexsort((z.imag, np.round(z.real, 9)))
     return z[order], resid[order]
 
 

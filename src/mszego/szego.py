@@ -8,10 +8,14 @@ whose argmax label partitions the disk into regions: label 0 where the
 logarithm wins, label j where the j-th plane wins.  The level vector
 L = (l_1..l_nu) is the unique one placing every a_j on the boundary of
 its own region; it is found by a finite fixed-point iteration (nu
-sweeps).  The union of the bounded region boundaries is the curve the
-polynomial roots accumulate on.  It is built here in closed form: the
-boundary of region 0 is a polar graph r(theta), and two bounded regions
-meet on a straight segment between exact triple points.
+sweeps).  The configuration is generic when at every a_j no third
+candidate comes within ``MIN_GAP`` of the two that tie there; the least
+such gap, or the rate of a chain tail if smaller, is the margin
+``delta`` that the asymptotic error decays with.  The union of the
+bounded region boundaries is the curve the polynomial roots accumulate
+on.  It is built here in closed form: the boundary of region 0 is a
+polar graph r(theta), and two bounded regions meet on a straight
+segment between exact triple points.
 """
 
 from __future__ import annotations
@@ -43,14 +47,12 @@ __all__ = [
 
 TIE_TOL = 1e-12          # relative tie window for argmax label sets
 BOUNDARY_TOL = 1e-9      # |Phi(a_j) - |a_j|^2 - l_j| tolerance for membership
-GENERIC_CIRCLE_RADIUS = 1e-4
-GENERIC_CIRCLE_SAMPLES = 64
-EMPTY_SCAN_GRID = 201
+MIN_GAP = 1e-4           # least third-plane gap at an a_j: below, n gap < 1 for n < 1e4
 
 
 class NonGeneric(Exception):
-    """A singular point touches more or fewer than two regions, or four
-    regions meet at one point of the curve.
+    """A third plane comes within ``MIN_GAP`` of the top at some a_j, the
+    arrows do not form chains, or four regions meet at one point of the curve.
 
     Carries the partial structure data available at detection time in
     ``self.report`` (a dict) so callers can still show diagnostics.
@@ -92,6 +94,7 @@ class SzegoStructure:
     ell: tuple[complex, ...]
     chains: tuple[tuple[int, ...], ...]   # chains[j-1] = (j, ..., k_1), implicit 0 at the end
     levels: tuple[int, ...]
+    delta: float   # genericity margin: the least third-plane gap or chain-tail rate
 
     def arrow(self, j: int) -> int:
         """The label k of the neighboring region at a_j (0 allowed)."""
@@ -242,51 +245,36 @@ def compute_ell(config: Configuration, chains) -> tuple[complex, ...]:
     return tuple(ell[j] for j in range(1, nu + 1))
 
 
-def _genericity_flags(config: Configuration, L, chains):
-    """Per-point circle test: label set around a_j must be exactly {j, k}."""
-    flags = []
-    theta = 2 * np.pi * np.arange(GENERIC_CIRCLE_SAMPLES) / GENERIC_CIRCLE_SAMPLES
-    ring = GENERIC_CIRCLE_RADIUS * np.exp(1j * theta)
-    for j in range(1, config.nu + 1):
-        labels = set(classify_many(config.a[j - 1] + ring, config, L).tolist())
-        k = chains[j - 1][1] if len(chains[j - 1]) > 1 else 0
-        flags.append(labels == {j, k})
-    return tuple(flags)
-
-
-def _empty_regions(config: Configuration, L):
-    """Labels never attained on a coarse scan grid, for the NonGeneric report."""
-    xs = np.linspace(-1.0, 1.0, EMPTY_SCAN_GRID)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    labels = classify_many(X + 1j * Y, config, L)
-    seen = set(np.unique(labels).tolist())
-    return tuple(j for j in range(1, config.nu + 1) if j not in seen)
-
-
 def solve_structure(config: Configuration) -> SzegoStructure:
     """Solve levels, derive chains/ell, and check genericity.
 
-    Raises :class:`NonGeneric`, with the empty regions in its report,
-    when some singular point does not sit between exactly two regions.
-    Once every circle test holds, each label j is seen around a_j, so
-    a returned structure has no empty region.
+    At each a_j its own plane and one neighbor tie on top; ``gap_j`` is
+    how far the third-highest candidate lies below them (``inf`` for one
+    point).  Raises :class:`NonGeneric`, reporting the gaps and the point
+    of the least, when some ``gap_j`` is below ``MIN_GAP``.  A positive
+    gap leaves only the two top labels near a_j, and their gradients
+    differ, so a_j sits between exactly two regions and no region is
+    empty.  ``delta`` is the least gap or tail rate
+    ``|a|^2 - 1 - log|a|^2`` over the chain tails a_{k_1}: the error of
+    the strong asymptotics falls like ``e^(-n delta)``.
     """
     L = solve_levels(config)
-    try:
-        chains, levels = compute_chains(config, L)
-        generic = _genericity_flags(config, L, chains)
-        if not all(generic):
-            raise NonGeneric(f"configuration is non-generic: generic={generic}",
-                             {"L": tuple(L), "generic": generic})
-    except NonGeneric as exc:
-        exc.report["empty_regions"] = _empty_regions(config, L)
-        raise
+    top = np.sort(plane_stack(config.a, config.a, L), axis=0)
+    gaps = tuple((top[-1] - top[-3]).tolist()) if config.nu > 1 else (math.inf,)
+    point = 1 + int(np.argmin(gaps))
+    if gaps[point - 1] < MIN_GAP:
+        raise NonGeneric(f"a third plane lies {gaps[point - 1]:.2e} below the top at "
+                         f"a_{point}, under MIN_GAP = {MIN_GAP:g}",
+                         {"L": tuple(L), "gaps": gaps, "point": point})
+    chains, levels = compute_chains(config, L)
+    tails = [abs(config.a[ch[-1] - 1]) ** 2 for ch in chains]
     return SzegoStructure(
         config=config,
         L=tuple(L),
         ell=compute_ell(config, chains),
         chains=chains,
         levels=levels,
+        delta=min(gaps + tuple(x - 1.0 - math.log(x) for x in tails)),
     )
 
 

@@ -60,7 +60,8 @@ def cfg_branchy():
 NON_GENERIC_A = (0.3794 - 0.2438j, 0.3797 - 0.2434j)
 
 # Region 2 is a thin sliver: it holds no node of a 201 x 201 lattice on
-# [-1,1]^2, yet the circle test sees it around a_2; chains (1,3), (2,1,3), (3).
+# [-1,1]^2, yet its least third-plane gap is 2.4e-3, well above MIN_GAP;
+# chains (1,3), (2,1,3), (3).
 THIN_REGION_A = (-0.26603533053930284 - 0.2312551562679013j,
                  0.34438873360971434 + 0.23521115687641278j,
                  -0.5608668989154224 - 0.4136541410891054j)

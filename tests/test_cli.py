@@ -41,13 +41,15 @@ def test_validate_bad_config(tmp_path, capsys):
     assert main(["validate", str(p)]) == 2
 
 
-def test_non_generic_exit_code(tmp_path):
+def test_non_generic_exit_code(tmp_path, capsys):
     p = tmp_path / "ng.json"
     p.write_text(json.dumps({
         "a": [[NON_GENERIC_A[0].real, NON_GENERIC_A[0].imag],
               [NON_GENERIC_A[1].real, NON_GENERIC_A[1].imag]],
         "c": [1.0, 1.0], "n": 8}))
     assert main(["levels", str(p)]) == 3
+    report = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert set(report) == {"L", "gaps", "point"} and report["point"] == 2
 
 
 def test_thin_region_levels(tmp_path):
@@ -102,8 +104,9 @@ def test_levels_json(single_cfg_path, capsys):
     assert doc["L"][0] == pytest.approx(math.log(A1) - 0.5, abs=1e-12)
     assert doc["chains"] == [[1]]
     assert doc["levels"] == [1]
-    assert set(doc) == {"L", "ell", "chains", "levels", "chain_constants"}
+    assert set(doc) == {"L", "ell", "chains", "levels", "chain_constants", "delta"}
     assert doc["chain_constants"][0][0] == pytest.approx(A1, abs=1e-12)
+    assert doc["delta"] == pytest.approx(math.log(2) - 0.5, abs=1e-15)
 
 
 def test_curve_csv_deterministic(pair_cfg_path, tmp_path, capsys):

@@ -420,6 +420,30 @@ def test_roots_double_stage_sweeps(monkeypatch):
     assert first[0] <= 25
 
 
+@pytest.mark.parametrize("n", [32, 96])
+def test_roots_order_survives_one_ulp(n, monkeypatch):
+    # the roots of one real point come in conjugate pairs whose real parts
+    # agree up to the last bit; moving each real part by one ulp after the
+    # last Aberth sweep must leave the returned order as it was
+    poly = monic_op(exact_moments(validate_config(Configuration(a=(A1,), c=(1.0,), n=n,
+                                                                N=None))), n)
+    want, _ = roots(poly)
+    aberth, calls = oracle._aberth, []
+    sign = np.random.default_rng(n).choice((-1.0, 1.0), n)
+
+    def nudged(z, newton, done):
+        z = aberth(z, newton, done)
+        calls.append(0)
+        if len(calls) == 2:   # the double-double stage
+            z = (z.real + sign * np.spacing(z.real)) + 1j * z.imag
+        return z
+
+    monkeypatch.setattr(oracle, "_aberth", nudged)
+    got, _ = roots(poly)
+    assert np.array_equal(got.imag, want.imag)
+    assert np.all(np.abs(got.real - want.real) <= np.spacing(np.abs(want.real)))
+
+
 def test_roots_random_configurations():
     # integer exponents at n = N up to 64 on generic configurations
     for cfg, n in zip(random_generic_configs(20, seed=37), range(7, 65, 3)):

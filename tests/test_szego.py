@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mszego.core import Configuration, validate_config
-from mszego.szego import (NonGeneric, SzegoStructure, classify, classify_many,
+from mszego.szego import (MIN_GAP, NonGeneric, SzegoStructure, classify, classify_many,
                           compute_chains, levels_iterations, phi_L, plane_stack,
                           solve_levels, solve_structure, trace_curve)
 
@@ -12,6 +12,10 @@ from conftest import A1, NON_GENERIC_A, THIN_REGION_A
 from support import random_generic_configs
 
 L1 = math.log(A1) - 0.5  # level constant of the single-point picture
+
+
+def _unit_cfg(a):
+    return validate_config(Configuration(a=a, c=(1.0,) * len(a), n=20, N=None))
 
 
 # -- phi_L -------------------------------------------------------------------
@@ -179,14 +183,63 @@ def test_non_generic_detection():
     cfg = validate_config(Configuration(a=NON_GENERIC_A, c=(1.0, 1.0), n=20, N=None))
     with pytest.raises(NonGeneric) as info:
         solve_structure(cfg)
-    assert "empty_regions" in info.value.report
+    report = info.value.report
+    gaps = report["gaps"]
+    assert gaps[report["point"] - 1] == min(gaps) < MIN_GAP
+    assert min(gaps) == pytest.approx(2.5e-7, rel=1e-6)
+
+
+@pytest.mark.parametrize("sep, generic", [(0.00999, False), (0.01001, True)])
+def test_gap_threshold_bracket(sep, generic):
+    # a_2 of NON_GENERIC_A moved away from a_1: a_1 sits on the tie of planes
+    # 1 and 2, so the gap at a_2 is |a_2 - a_1|^2 and crosses MIN_GAP at 0.01
+    a1, a2 = NON_GENERIC_A
+    cfg = _unit_cfg((a1, a1 + sep * (a2 - a1) / abs(a2 - a1)))
+    if generic:
+        assert solve_structure(cfg).delta == pytest.approx(sep ** 2, rel=1e-9)
+    else:
+        with pytest.raises(NonGeneric) as info:
+            solve_structure(cfg)
+        assert info.value.report["point"] == 2
+        assert info.value.report["gaps"][1] == pytest.approx(sep ** 2, rel=1e-9)
+
+
+def test_two_regions_on_circles_sized_by_gap():
+    # with gap_j and the largest gradient difference g at a_j, a third plane
+    # stays 3 gap_j / 4 under the top two on the circle of radius
+    # gap_j / (4 g), and the top two have different gradients, so each wins
+    # on half of it (gap_j is capped at 0.1, where the logarithm's curvature
+    # is still small, and one point has no third plane)
+    theta = np.exp(2j * np.pi * np.arange(256) / 256)
+    for cfg in random_generic_configs(60, seed=41):
+        st = solve_structure(cfg)
+        top = np.sort(plane_stack(cfg.a, cfg.a, st.L), axis=0)
+        gaps = top[-1] - top[-3] if cfg.nu > 1 else [math.inf]
+        for j, aj in enumerate(cfg.a, start=1):
+            grads = np.array([1 / aj.conjugate(), *cfg.a])
+            spread = np.max(np.abs(grads[:, None] - grads[None, :]))
+            ring = aj + min(gaps[j - 1], 0.1) / (4 * spread) * theta
+            assert set(classify_many(ring, cfg, st.L).tolist()) == {j, st.arrow(j)}
 
 
 def test_thin_region_solves():
-    # no lattice node of the old 201 x 201 empty-region scan falls in region 2
+    # no lattice node of a 201 x 201 scan of [-1, 1]^2 falls in region 2
     cfg = validate_config(Configuration(a=THIN_REGION_A, c=(1.0,) * 3, n=20, N=None))
     st = solve_structure(cfg)
     assert st.chains == ((1, 3), (2, 1, 3), (3,))
+
+
+@pytest.mark.parametrize("name, delta", [
+    ("cfg_pair", 0.1400), ("cfg_level2", 0.1193), ("cfg_level3", 0.0369), ("thin", 0.00238)])
+def test_delta_values(name, delta, request):
+    # FIG4 and level3 are set by a third plane, level2 by its chain tail a_1
+    cfg = _unit_cfg(THIN_REGION_A) if name == "thin" else request.getfixturevalue(name)
+    assert solve_structure(cfg).delta == pytest.approx(delta, abs=5e-5)
+
+
+def test_delta_single_point(cfg_single):
+    # one point has no third plane; its tail rate is |a|^2 - 1 - log|a|^2
+    assert abs(solve_structure(cfg_single).delta - (math.log(2) - 0.5)) <= 1e-15
 
 
 # -- curve tracing ---------------------------------------------------------------
@@ -300,10 +353,6 @@ def test_coarse_grid_borders_every_region(cfg_pair):
         assert min(len(arc) for arc in cs.arcs) >= 3
 
 
-def _unit_cfg(a):
-    return validate_config(Configuration(a=a, c=(1.0,) * len(a), n=20, N=None))
-
-
 def test_short_arc_has_every_interface():
     cs = trace_curve(solve_structure(_unit_cfg(SHORT_ARC_CASES[0][0])), grid=20, tol=1e-8)
     assert [(arc.j, arc.k) for arc in cs.arcs] == [
@@ -314,7 +363,8 @@ def test_four_regions_at_one_point_refused():
     # not a valid configuration (a_1, a_3 and 0 are collinear); by symmetry
     # all four planes tie at the origin
     cfg = Configuration(a=(0.5 + 0j, 0.5j, -0.5 + 0j, -0.5j), c=(1.0,) * 4, n=20, N=None)
-    st = SzegoStructure(config=cfg, L=solve_levels(cfg), ell=(), chains=(), levels=())
+    st = SzegoStructure(config=cfg, L=solve_levels(cfg), ell=(), chains=(), levels=(),
+                        delta=0.0)
     with pytest.raises(NonGeneric, match="four regions meet"):
         trace_curve(st, grid=40, tol=1e-8)
 

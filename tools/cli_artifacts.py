@@ -61,6 +61,11 @@ EDGE_CASES = {
                   "c": [1.0, 1.0, 1.0, 1.0], "n": 20},
 }
 
+# NON_GENERIC_A of tests/conftest.py: plane 2 lies 2.5e-7 below the top at
+# a_2, under MIN_GAP, so `levels` refuses it (exit 3, the gaps on stderr)
+NON_GENERIC = {"non_generic": {"a": [[0.3794, -0.2438], [0.3797, -0.2434]],
+                               "c": [1.0, 1.0], "n": 20}}
+
 # arg(a_2 - a_1) lies more than pi from arg a_2, so the window of the
 # 1-anchored power of point 2 is lifted by a whole turn; a wrong turn flips
 # the sign of the region-1 term (c_2 = 1.5)
@@ -109,6 +114,7 @@ def commands(out: str, cfgs: dict[str, str]):
     name = "curve_thin_400"
     yield name, ["curve", cfgs["thin"], "--grid", "400", "--out", path(name + ".csv")]
     yield "levels_lifted", ["levels", cfgs["lifted"]]
+    yield "levels_non_generic", ["levels", cfgs["non_generic"]]
     name = "asymp_lifted_uniform"
     yield name, ["asymp", cfgs["lifted"], "--mode", "uniform", "--out", path(name + ".csv")]
     name = "curve_short_arc_20"
@@ -144,7 +150,8 @@ def commands(out: str, cfgs: dict[str, str]):
 def run(out: str) -> None:
     os.makedirs(out, exist_ok=True)
     cfgs = {}
-    for key, doc in {**CONFIGS, **LARGE_N, **CLOSE_PAIR, **EDGE_CASES, **LIFTED}.items():
+    for key, doc in {**CONFIGS, **LARGE_N, **CLOSE_PAIR, **EDGE_CASES, **LIFTED,
+                     **NON_GENERIC}.items():
         cfgs[key] = os.path.join(out, f"config_{key}.json")
         with open(cfgs[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
