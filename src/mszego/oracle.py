@@ -16,11 +16,16 @@ its solve.
 
 Quadrature moments on a fractional exponent are limited by two counts,
 which each mesh doubling halves: the Gauss-Jacobi radial nodes of the
-patches around the points and the angles of the main polar grid.  Both
-resolve the smooth cutoff that splits the weight between the two, so
-the cutoff switches over the whole patch disk, as slowly as the disk
-allows.  The main grid's radial step bought no digit, so in the cutoff
-annuli it is only a little finer than the angular spacing there
+patches around the points and the angles of the main polar grid rows
+that cross a patch disk.  Both resolve the smooth cutoff that splits the
+weight between the two, so the cutoff switches over the whole patch
+disk, as slowly as the disk allows.  The main grid's radial step bought
+no digit, so in the cutoff annuli it is only a little finer than the
+angular spacing there.  Every other angular count is sized to the
+bandwidth of what it integrates, since the trapezoid rule on a periodic
+grid converges geometrically in it: 2n + 64 angles per patch, where the
+cutoff depends on the radius alone, and on main-grid rows outside every
+disk 2n + K, K the decay length of the powers' harmonics there
 (``_moments_mesh``).
 """
 
@@ -282,15 +287,38 @@ def _moments_mesh(config: Configuration, size, factor: int,
 
     On a fractional exponent two counts set the error, and the doubling
     ladder halves both: the patches' Gauss-Jacobi radial nodes and the
-    main grid's angles.  Both resolve the C-infinity cutoff, which is
-    why it switches over the whole disk |z - a_j| < r_j (``_patch_share``):
-    on the single point a = 0.6, c = 0.5, n = 8, a switch over [r_j/2,
-    r_j] left factors 1 and 2 1.9e-9 apart, so the ladder ran on to
-    factor 4; over the whole disk they are 6.6e-13 apart and it stops at
-    factor 2.  Taking the main grid's radial step alone back to factor 1
-    cost nothing (3.6e-15 against the closed form), so the cutoff annuli
-    take panels of r_j/4/factor, whose 16 Gauss-Legendre nodes are still
-    finer than the angular spacing at |a_j|.
+    angles of the main-grid rows that cross a disk |z - a_j| < r_j.
+    Both resolve the C-infinity cutoff, which is why it switches over the
+    whole disk (``_patch_share``): on the single point a = 0.6, c = 0.5,
+    n = 8, a switch over [r_j/2, r_j] left factors 1 and 2 1.9e-9 apart,
+    so the ladder ran on to factor 4; over the whole disk they are
+    6.6e-13 apart and it stops at factor 2.  Taking the main grid's
+    radial step alone back to factor 1 cost nothing (3.6e-15 against the
+    closed form), so the cutoff annuli take panels of r_j/4/factor, whose
+    16 Gauss-Legendre nodes are still finer than the angular spacing at
+    |a_j|.  Those rows take max(1536, 2n + 64) angles per factor.
+
+    The other angular counts only resolve smooth periodic integrands, on
+    which the trapezoid rule converges geometrically in the bandwidth,
+    and also double with the factor:
+
+    - A patch takes 2n + 64 angles.  Its cutoff depends on rho alone;
+      in phi, z^p conj(z)^q has harmonics up to n, the Gaussian Bessel
+      harmonics in 2 N rho |a_j| <= 0.2 N, and the other points' powers
+      harmonics in a ratio of at most 0.45.  From 384 angles this moved
+      no moment of a fractional fixture, nor of the single point at
+      n = 48/64/96, by more than 2e-15 (``moments_max_reldiff``).
+    - A main-grid row outside every disk takes min(max(1536, 2n + 64),
+      2n + K) angles.  There |z - a_j|^(2c_j) is analytic in theta, with
+      harmonics below (|a_j| / (|a_j| + r_j))^k, so K = max_j
+      log(1e4/eps) / log(1 + r_j/|a_j|) of them put what aliases onto
+      the harmonics up to n under eps, even for entries 1e-4 below their
+      Cauchy-Schwarz scale (the floor of ``moments_max_reldiff``).  On
+      a = 0.6, n = 8 that is 310 angles in place of 1536, on 452 of the
+      720 rows at factor 2.
+
+    Integer exponents take one group of 2n + 2 sum(c) + 8 angles, which
+    the weight's finite bandwidth makes exact.
     """
     n = size - 1
     N = config.N
@@ -330,29 +358,36 @@ def _moments_mesh(config: Configuration, size, factor: int,
     r = (mid + half * xg[None, :]).ravel()
     wr = (half * wg[None, :]).ravel()
 
+    # (rows, angles) groups of the main grid
     if all_integer:
-        ntheta = 2 * n + 2 * int(round(C)) + 8
+        groups = [(slice(None), 2 * n + 2 * int(round(C)) + 8)]
     else:
-        ntheta = max(1536, 2 * n + 64) * factor
-    theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
-    wt = 2.0 * math.pi / ntheta
+        full = max(1536, 2 * n + 64)
+        K = max(math.ceil(math.log(1e4 / np.finfo(float).eps) / math.log1p(rj / abs(aj)))
+                for aj, rj in zip(config.a, radii))
+        far = np.all([np.abs(r - abs(aj)) >= rj for aj, rj in zip(config.a, radii)], axis=0)
+        groups = [(far, min(full, 2 * n + K) * factor), (~far, full * factor)]
 
     M = np.zeros((size, size), dtype=complex)
-    # radial chunks of about 1e6 nodes bound the weight arrays, which
-    # _grid_weight frees before the patches below
-    chunk = max(1, int(1e6 // ntheta))
-    for i0 in range(0, r.size, chunk):
-        rr = r[i0:i0 + chunk]
-        base = rr * wr[i0:i0 + chunk] * np.exp(-N * rr * rr) * wt
-        _angular_accumulate(M, rr, _grid_weight(config, radii, rr, base, theta,
-                                                not all_integer))
+    for rows, ntheta in groups:
+        rg, wrg = r[rows], wr[rows]
+        theta = 2.0 * math.pi * np.arange(ntheta) / ntheta
+        wt = 2.0 * math.pi / ntheta
+        # radial chunks of about 1e6 nodes bound the weight arrays, which
+        # _grid_weight frees before the patches below
+        chunk = max(1, int(1e6 // ntheta))
+        for i0 in range(0, rg.size, chunk):
+            rr = rg[i0:i0 + chunk]
+            base = rr * wrg[i0:i0 + chunk] * np.exp(-N * rr * rr) * wt
+            _angular_accumulate(M, rr, _grid_weight(config, radii, rr, base, theta,
+                                                    not all_integer))
 
     if all_integer:
         return M
 
     # singular patches in local polar coordinates with Gauss-Jacobi radius
     from scipy.special import roots_jacobi
-    nphi = 384 * factor
+    nphi = (2 * n + 64) * factor
     phi = 2.0 * math.pi * np.arange(nphi) / nphi
     wphi = 2.0 * math.pi / nphi
     for aj, cj, rj in zip(config.a, config.c, radii):

@@ -6,9 +6,11 @@ directly, the crossing counter does raw segment/ray geometry, the
 unit-exponent inner error comes from the closed-form polynomial in plain
 floats, the expansion coefficients of f_c come from math.gamma, and the
 moments of one real point come from the angular closed form and a
-one-dimensional radial integral.  Two helpers feed the package inputs:
-a seeded stream of generic configurations, and the Fujiwara circle that
-``oracle.roots`` once started from, kept to show what its start changes.
+one-dimensional radial integral or, down to c = -1, from Kummer functions
+in polar coordinates about the point.  Two helpers feed the package
+inputs: a seeded stream of generic configurations, and the Fujiwara
+circle that ``oracle.roots`` once started from, kept to show what its
+start changes.
 """
 
 import cmath
@@ -222,4 +224,39 @@ def real_point_moments(a, c, n, N):
     for p in range(n + 1):
         for q in range(p + 1):
             M[p, q] = M[q, p] = radial(p + q, p - q)
+    return M
+
+
+def real_point_moments_mp(a, c, n, N):
+    """``real_point_moments`` in closed form, in mpmath, for any c > -1.
+
+    In polar coordinates w = z - a = rho e^(i phi) the weight is
+    e^(-N a^2) |w|^(2c) e^(-N rho^2) e^(-2 N a rho cos phi), so the
+    monomials w^s conj(w)^u, expanded from z = a + w, integrate in phi to
+    2 pi (-1)^m I_|m|(2 N a rho), m = s - u, and in rho to a Kummer
+    function.  No quadrature meets the singularity, which
+    ``real_point_moments`` has to cross at r = a, where its angular form
+    blows up like |r - a|^(2c + 1) once c < -1/2.  The binomial sums
+    alternate in sign and cancel about 19 digits at n = 24, so the working
+    precision grows with n.
+    """
+    import mpmath as mp
+
+    with mp.workdps(20 + n):
+        a, c, N = mp.mpf(a), mp.mpf(c), mp.mpf(N)
+        x = N * a * a
+
+        def term(s, u):
+            nu = abs(s - u)
+            h = (s + u + 2 * c + nu + 2) / 2
+            return ((-1) ** nu * (N * a) ** nu * mp.gamma(h) * mp.hyp1f1(h, nu + 1, x)
+                    / (2 * N ** h * mp.factorial(nu)))
+
+        T = [[term(s, u) for u in range(n + 1)] for s in range(n + 1)]
+        M = np.zeros((n + 1, n + 1))
+        for p in range(n + 1):
+            for q in range(p + 1):
+                acc = mp.fsum(mp.binomial(p, s) * mp.binomial(q, u) * a ** (p + q - s - u)
+                              * T[s][u] for s in range(p + 1) for u in range(q + 1))
+                M[p, q] = M[q, p] = float(2 * mp.pi * mp.exp(-x) * acc)
     return M

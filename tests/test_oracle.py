@@ -19,7 +19,8 @@ from mszego.oracle import (IllConditioned, MomentMatrix, NoConvergence,
 from mszego.szego import solve_structure, trace_curve
 
 from conftest import A1
-from support import fujiwara_start, random_generic_configs, real_point_moments
+from support import (fujiwara_start, random_generic_configs, real_point_moments,
+                     real_point_moments_mp)
 
 
 @pytest.fixture(scope="module")
@@ -219,19 +220,36 @@ def test_quadrature_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 43 MB measured now that the ladder stops at factor 2 (55 MB when it
-    # ran on to factor 4, 79 MB when the cutoff ran over whole radial rows)
-    assert peak < 50 * 2 ** 20
+    # 19.0 MB measured; 42.8 MB when every patch took 384 angles per factor
+    # and every main-grid row 1536
+    assert peak < 25 * 2 ** 20
 
 
-@pytest.mark.parametrize("a, c, n", [(0.6, 0.5, 8), (0.7, 0.5, 24), (0.5, 3.5, 8)])
+@pytest.mark.parametrize("a, c, n", [
+    (0.6, 0.5, 8), (0.7, 0.5, 24), (0.5, 3.5, 8),
+    # r_j / |a_j| = 2/3: the rows outside the disk take the fewest angles
+    # (2n + K with K = 89), and in the patch z^p keeps all n harmonics
+    (0.15, 0.5, 24),
+    # r_j / |a_j| = 0.105: K = 453 is largest, and the ladder runs to factor 4
+    (0.95, 0.5, 16),
+])
 def test_quadrature_matches_real_point_reference(a, c, n):
-    # measured 3.4e-15, 9.4e-15 and 2.1e-13; the factor-1 mesh alone reads
-    # 6.6e-13 on the first case but 1.7e-11 on the second, so a ladder that
-    # stops a step early fails through the second
+    # measured 5.0e-15, 3.4e-14, 2.1e-13, 3.6e-14 and 1.4e-14; the factor-1
+    # mesh alone reads 6.7e-13 on the first case but 1.7e-11 on the second,
+    # so a ladder that stops a step early fails through the second
     cfg = validate_config(Configuration(a=(a,), c=(c,), n=n, N=None))
     M = quad_moments(cfg)
     assert moments_max_reldiff(M.entries, real_point_moments(a, c, n, cfg.N)) <= 1e-12
+
+
+@pytest.mark.parametrize("c, bound", [(-0.9, 2e-11), (-0.7, 1e-12)])
+def test_quadrature_near_minus_one_matches_closed_form(c, bound):
+    # the angular form of real_point_moments blows up at r = a once
+    # c < -1/2, and its QUADPACK split there warns; against the closed
+    # form, measured 6.3e-12 at c = -0.9 and 6.8e-14 at c = -0.7
+    cfg = validate_config(Configuration(a=(0.6,), c=(c,), n=3, N=None))
+    M = quad_moments(cfg)
+    assert moments_max_reldiff(M.entries, real_point_moments_mp(0.6, c, 3, cfg.N)) <= bound
 
 
 @pytest.mark.parametrize("name", ["frac_quad", "cfg_level2_frac", "cfg_branchy"])

@@ -46,6 +46,10 @@ LARGE_N.update({f"{key}_n64": {**CONFIGS[key], "n": 64} for key in ("single", "l
 # two fractional points 0.05 apart, so r_j = 0.0225: the quadrature's cutoff
 # must switch within these small disks and still let mesh doubling converge
 CLOSE_PAIR = {"close_pair": {"a": [[0.5, 0.0], [0.53, 0.04]], "c": [0.5, 0.5], "n": 8}}
+# one point near the origin: r_j/|a_j| is largest, so the main-grid rows
+# outside the cutoff disk take the fewest angles, and in the patch, where rho
+# reaches 2/3 of |a_j|, the powers z^p keep all their harmonics
+NEAR_ORIGIN = {"near_origin": {"a": [[0.15, 0.0]], "c": [0.5], "n": 24}}
 # region 2 of "thin" is a sliver that holds no node of a 201 x 201 lattice
 # (its two arcs are 0.07 long); "short_arc" at grid 20 has a 2|4 interface
 # 0.34 long and a 3-point 0|2 arc 0.008 long, oriented by the plane gradients
@@ -100,7 +104,8 @@ def commands(out: str, cfgs: dict[str, str]):
     for key in ("pair_n96", "pair_n128", "single_n64", "level3_n64"):
         name = f"oracle_{key}"
         yield name, ["oracle", cfgs[key], "--out", path(name + ".csv")]
-    for key, degree in (("branchy", 3), ("pair", 6), ("pair_n40", 40), ("close_pair", 8)):
+    for key, degree in (("branchy", 3), ("pair", 6), ("pair_n40", 40), ("close_pair", 8),
+                        ("near_origin", 24)):
         name = f"oracle_quad_{key}_{degree}"
         yield name, ["oracle", cfgs[key], "--method", "quad", "--degree", str(degree),
                      "--out", path(name + ".csv")]
@@ -150,8 +155,8 @@ def commands(out: str, cfgs: dict[str, str]):
 def run(out: str) -> None:
     os.makedirs(out, exist_ok=True)
     cfgs = {}
-    for key, doc in {**CONFIGS, **LARGE_N, **CLOSE_PAIR, **EDGE_CASES, **LIFTED,
-                     **NON_GENERIC}.items():
+    for key, doc in {**CONFIGS, **LARGE_N, **CLOSE_PAIR, **NEAR_ORIGIN, **EDGE_CASES,
+                     **LIFTED, **NON_GENERIC}.items():
         cfgs[key] = os.path.join(out, f"config_{key}.json")
         with open(cfgs[key], "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
