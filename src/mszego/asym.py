@@ -6,25 +6,42 @@ bounded region j uses an exponential plane wave times the chain
 constant divided by the simple pole at a_j.  Near the curve the valid
 terms are summed; near a singular point the regional form is corrected
 by the truncated-exponential factor in the local zooming coordinate.
+
+Every term is formed as one complex logarithm,
+
+    log T_0 = n log z + sum_j c_j (log z - log(z - a_j)),
+    log T_j = log(-C_j) + N (conj(a_j) z + ell_j) - log(z - a_j)
+              - sum_{i != j} c_i log(z - a_i),
+
+from one modulus and one principal phase of z and of each z - a_i per
+point.  The arguments of T_0 lie in the radial windows of
+:mod:`.branches`, those of T_j in its j-anchored windows; the residue
+that moves an argument into its window also gives the distance to the
+window's cut, and a point within ONCUT_TOL of a cut that its term reads
+raises OnCut.  Only the terms that are kept are exponentiated; one whose
+modulus passes the double range raises :class:`TermOutOfRange`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import BranchContext
+from .branches import BranchContext, arg_cut, window_arg
 from .core import Configuration
 from .specfun import FcEvaluator
 from .szego import SzegoStructure, classify, solve_structure
 
-__all__ = ["AsymptoticModel", "ChainConstantOutOfRange", "build_model", "chain_constant"]
+__all__ = ["AsymptoticModel", "ChainConstantOutOfRange", "TermOutOfRange", "build_model",
+           "chain_constant"]
 
 DISK_RADIUS_FACTOR = 0.3
 DEFAULT_TAU = 40.0
+LOG_MAX = math.log(sys.float_info.max)  # the largest real part exp keeps finite
 
 
 def _gamma(x: float) -> np.float64:
@@ -37,6 +54,18 @@ class ChainConstantOutOfRange(ArithmeticError):
     """A chain constant is zero or not finite in double precision."""
 
 
+class TermOutOfRange(ArithmeticError):
+    """A kept term's modulus at the point exceeds the double range."""
+
+
+def _exp(z: complex, log_t: complex) -> complex:
+    """The term exp(log_t) at z, refused past the double range."""
+    if log_t.real > LOG_MAX:
+        raise TermOutOfRange(
+            f"a term at {z} has modulus exp({log_t.real:.6g}), past the double range")
+    return cmath.exp(log_t)
+
+
 @dataclass(frozen=True)
 class AsymptoticModel:
     """Everything needed to evaluate the asymptotic formulas at a point."""
@@ -47,6 +76,14 @@ class AsymptoticModel:
     chain_const: tuple[complex, ...]
     fc: tuple[FcEvaluator, ...]
     disk_radii: tuple[float, ...]
+
+    def __post_init__(self):
+        # a cache, not a field: per bounded label j, the constant and the
+        # slope of log(-C_j) + N (conj(a_j) z + ell_j)
+        N = self.N
+        object.__setattr__(self, "_plane", tuple(
+            (cmath.log(-C) + N * ell, N * aj.conjugate())
+            for C, aj, ell in zip(self.chain_const, self.config.a, self.structure.ell)))
 
     @property
     def n(self) -> int:
@@ -61,6 +98,49 @@ class AsymptoticModel:
 
     # -- regional terms -----------------------------------------------------
 
+    def _log_terms(self, z: complex, labels) -> list[complex]:
+        """log T_k(z) for each label k, from one modulus and phase per z and z - a_i.
+
+        Every window is read, and checked against its cut, before any
+        logarithm is taken: a point on a cut raises OnCut even where one of
+        the moduli is 0, and z = a_k, the pole of term k, raises ValueError.
+        """
+        windows = self.branch.windows
+        pts = [z]                               # z, z - a_1, ..., z - a_nu
+        for ai in self.config.a:
+            pts.append(z - ai)
+        mods = list(map(abs, pts))
+        phases = list(map(cmath.phase, pts))
+        # c times the windowed argument, for each window of each label in turn
+        c_args = [c * (window_arg(z, mods[m], phases[m], phi, what) - turns)
+                  for k in labels for m, c, phi, turns, what in windows[k]]
+        log_w = list(map(math.log, mods[1:]))   # log|z - a_j| at j - 1
+        out = []
+        i = 0
+        for k in labels:
+            if k == 0:
+                # n log z + sum_j c_j (log z - log(z - a_j)), radial windows
+                log_z = math.log(mods[0])
+                re = self.config.n * log_z
+                im = self.config.n * phases[0]
+                for j, (_, c, phi, _, _) in enumerate(windows[0], start=1):
+                    re += c * (log_z - log_w[j - 1])
+                    im += c_args[i] - c * arg_cut(phases[j], phi)
+                    i += 1
+                out.append(complex(re, im))
+            else:
+                # log(-C_k) + N (conj(a_k) z + ell_k) - log(z - a_k)
+                #   - sum_{m != k} c_m log(z - a_m), k-anchored windows
+                const, slope = self._plane[k - 1]
+                re = log_w[k - 1]
+                for m, c, _, _, _ in windows[k]:
+                    re += c * log_w[m - 1]
+                i_end = i + len(windows[k])
+                im = phases[k] + sum(c_args[i:i_end])
+                i = i_end
+                out.append(const + slope * z - complex(re, im))
+        return out
+
     def eval_region(self, z: complex, label: int | None = None) -> complex:
         """The label's closed form, evaluable wherever its own cuts allow.
 
@@ -69,33 +149,23 @@ class AsymptoticModel:
         """
         if label is None:
             label = self.classify(z)
-        if label == 0:
-            out = complex(z) ** self.n
-            for j in range(1, self.config.nu + 1):
-                out *= self.branch.ratio_pow(z, j)
-            return out
-        j = label
-        aj = self.config.a[j - 1]
-        denom = z - aj
-        for i in range(1, self.config.nu + 1):
-            if i != j:
-                denom *= self.branch.pow_a_Bk(z, i, j)
-        wave = cmath.exp(self.N * (aj.conjugate() * z + self.structure.ell[j - 1]))
-        return -wave * self.chain_const[j - 1] / denom
+        return _exp(z, self._log_terms(z, (label,))[0])
 
     def eval_uniform(self, z: complex, tau: float = DEFAULT_TAU) -> complex:
         """Sum of all terms within exp(-tau) of the dominant one.
 
         Valid off the cuts and away from the singular points; near an
         interface exactly the two interface terms survive the cut, deep
-        inside a region only its own term does.
+        inside a region only its own term does.  Only the kept terms are
+        exponentiated.
         """
-        terms = [self.eval_region(z, lab) for lab in range(self.config.nu + 1)]
-        top = max(abs(t) for t in terms)
-        if top == 0.0:
-            return 0.0 + 0j
-        thresh = math.exp(-tau) * top
-        return sum(t for t in terms if abs(t) >= thresh)
+        logs = self._log_terms(z, range(self.config.nu + 1))
+        top = max([t.real for t in logs])
+        out = 0j
+        for t in logs:
+            if t.real >= top - tau:
+                out += _exp(z, t)
+        return out
 
     # -- local coordinate and formula ---------------------------------------
 
@@ -131,8 +201,10 @@ class AsymptoticModel:
     def eval_local(self, z: complex, j: int) -> complex:
         """Near-a_j form: neighbor term times the truncated-exponential factor.
 
-        The parenthesized entire combination keeps the value continuous
-        across the local coordinate's negative axis.
+        It is ``exp(log T_k + c_j log zeta - zeta) E_c(zeta)``, with T_k the
+        term of the arrow's target k and the principal log of zeta; the
+        entire E_c keeps the value continuous across the local coordinate's
+        negative axis.
         """
         k = self.structure.arrow(j)
         zeta = self.zeta_map(z, j)
@@ -143,8 +215,13 @@ class AsymptoticModel:
                 return 0.0 + 0j
             raise ValueError(
                 f"the local form diverges at a_{j} for negative exponents")
-        A = self.eval_region(z, k)
-        return A * zeta ** cj * cmath.exp(-zeta) * self.fc[j - 1].entire(zeta)
+        log_t = self._log_terms(z, (k,))[0] + cj * cmath.log(zeta) - zeta
+        try:
+            entire = self.fc[j - 1].entire(zeta)
+        except OverflowError as exc:
+            raise TermOutOfRange(
+                f"E_c at the local coordinate {zeta} of {z} is past the double range") from exc
+        return _exp(z, log_t) * entire
 
     def disk_radius(self, j: int) -> float:
         return self.disk_radii[j - 1]

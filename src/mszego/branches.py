@@ -19,7 +19,11 @@ the ray of direction ``phi``.  Conventions used throughout:
   ``exp(2*pi*i*sum(c_m*n_m))``, with ``n_m`` the turns between the two
   windows of point m at ``a_j``.
 
-Points within ``ONCUT_TOL`` of a relevant cut raise :class:`OnCut`.
+Points within ``ONCUT_TOL`` of a relevant cut raise :class:`OnCut`.  The
+distance comes from the residue that moves an argument into its window:
+for ``w = z - origin`` and ``r = (phi - arg w) mod 2*pi`` it is
+``|w| sin(min(r, 2*pi - r, pi/2))``.  The powers here and the logarithmic
+terms of :mod:`.asym` share that one test (:func:`window_arg`).
 """
 
 from __future__ import annotations
@@ -39,19 +43,29 @@ class OnCut(Exception):
     """Evaluation point is within ONCUT_TOL of a branch cut."""
 
 
-def _arg_cut(w: complex, phi: float) -> float:
-    """Argument of w in the half-open window (phi - 2*pi, phi]."""
-    return phi - (phi - cmath.phase(w)) % (2.0 * math.pi)
+TWO_PI = 2.0 * math.pi
+HALF_PI = 0.5 * math.pi
 
 
-def _ray_distance(z: complex, origin: complex, direction: complex) -> float:
-    """Distance from z to the ray origin + t*direction, t >= 0."""
-    d = direction / abs(direction)
-    w = z - origin
-    t = (w * d.conjugate()).real
-    if t <= 0.0:
-        return abs(w)
-    return abs(w - t * d)
+def arg_cut(phase: float, phi: float) -> float:
+    """A principal argument moved into the window (phi - 2*pi, phi]."""
+    return phi - (phi - phase) % TWO_PI
+
+
+def window_arg(z: complex, w_abs: float, w_phase: float, phi: float, what: str) -> float:
+    """The argument of w in the window (phi - 2*pi, phi], off its cut.
+
+    ``w = z - origin`` has modulus ``w_abs`` and principal argument
+    ``w_phase``; the cut is the ray from the origin in direction ``phi``.
+    The window residue ``r = (phi - w_phase) mod 2*pi`` also gives the
+    distance from z to that ray, ``|w| sin(min(r, 2*pi - r, pi/2))``;
+    within ONCUT_TOL it raises :class:`OnCut`.
+    """
+    r = (phi - w_phase) % TWO_PI
+    angle = r if r < math.pi else TWO_PI - r    # between w and the ray
+    if w_abs * (math.sin(angle) if angle < HALF_PI else 1.0) <= ONCUT_TOL:
+        raise OnCut(f"{z} lies on {what}")
+    return phi - r
 
 
 @dataclass(frozen=True)
@@ -72,7 +86,7 @@ class BranchContext:
             object.__setattr__(self, "branch_shift", (0,) * self.config.nu)
         if len(self.branch_shift) != self.config.nu:
             raise ValueError("branch_shift length must equal nu")
-        # a cache, not a field: the constructor cannot set it.  The cut
+        # caches, not fields: the constructor cannot set them.  The cut
         # angle of point j in the k branch system: arg a_j for k == j, else
         # arg(a_j - a_k) lifted into [arg a_j - pi, arg a_j + pi), so that
         # both windows hold the whole a_k ray, which meets neither cut
@@ -82,25 +96,36 @@ class BranchContext:
             phi = cmath.phase(aj)
             for k, ak in enumerate(a, start=1):
                 angles[(j, k)] = phi if j == k else \
-                    phi - math.pi + (cmath.phase(aj - ak) - phi + math.pi) % (2.0 * math.pi)
+                    phi - math.pi + (cmath.phase(aj - ak) - phi + math.pi) % TWO_PI
         object.__setattr__(self, "_cut_angle", angles)
+        # the windows each regional term reads, as (m, c, cut angle, branch
+        # turns, cut name) for a power w^c read by w = z (m = 0) or
+        # w = z - a_m: system 0 holds the radial window of every point
+        # j = 1..nu in order, read by z; system k the k-anchored windows of
+        # the other points
+        c = self.config.c
+        windows = [tuple((0, c[j - 1], angles[(j, j)], 0.0, f"the radial cut through point {j}")
+                         for j in range(1, len(a) + 1))]
+        for k in range(1, len(a) + 1):
+            windows.append(tuple(
+                (j, c[j - 1], angles[(j, k)], TWO_PI * self.branch_shift[j - 1],
+                 f"the cut of point {j} re-anchored at {k}")
+                for j in range(1, len(a) + 1) if j != k))
+        object.__setattr__(self, "windows", tuple(windows))
 
     # -- primitive powers ----------------------------------------------
 
-    def _power(self, w: complex, cj: float, phi: float, shift: int) -> complex:
-        arg = _arg_cut(w, phi) - 2.0 * math.pi * shift
-        return cmath.exp(cj * complex(math.log(abs(w)), arg))
-
-    def _check_ray(self, z: complex, origin: complex, direction: complex, what: str):
-        if _ray_distance(z, origin, direction) <= ONCUT_TOL:
-            raise OnCut(f"{z} lies on {what}")
+    def _power(self, z: complex, w: complex, j: int, phi: float, what: str) -> complex:
+        w_abs = abs(w)
+        arg = window_arg(z, w_abs, cmath.phase(w), phi, what) \
+            - TWO_PI * self.branch_shift[j - 1]
+        return cmath.exp(self.config.c[j - 1] * complex(math.log(w_abs), arg))
 
     def pow_a(self, z: complex, j: int) -> complex:
         """(z - a_j)^(c_j), cut on the outward ray from a_j."""
         aj = self.config.a[j - 1]
-        self._check_ray(z, aj, aj, f"the outward cut of point {j}")
-        return self._power(z - aj, self.config.c[j - 1], cmath.phase(aj),
-                           self.branch_shift[j - 1])
+        return self._power(z, z - aj, j, self._cut_angle[(j, j)],
+                           f"the outward cut of point {j}")
 
     def pow_z(self, z: complex, j: int) -> complex:
         """z^(c_j), cut on the full radial ray through a_j.
@@ -109,27 +134,8 @@ class BranchContext:
         which makes ``pow_a(z, j)/pow_z(z, j) -> 1`` at infinity in every
         direction off the cut.
         """
-        aj = self.config.a[j - 1]
-        self._check_ray(z, 0j, aj, f"the radial cut through point {j}")
-        return self._power(z, self.config.c[j - 1], cmath.phase(aj),
-                           self.branch_shift[j - 1])
-
-    def ratio_pow(self, z: complex, j: int) -> complex:
-        """z^(c_j) / (z - a_j)^(c_j), analytic off the segment [0, a_j].
-
-        The two cuts on the outward ray cancel; computing the argument
-        difference inside one exponential keeps the cancellation exact
-        near that ray.
-        """
-        aj = self.config.a[j - 1]
-        # the true cut is only the segment [0, a_j], but points within
-        # ONCUT_TOL of the outward part can desynchronize the two
-        # argument windows, so the whole radial ray is guarded
-        self._check_ray(z, 0j, aj, f"the radial ray through point {j}")
-        phi = cmath.phase(aj)
-        cj = self.config.c[j - 1]
-        d_arg = _arg_cut(z, phi) - _arg_cut(z - aj, phi)
-        return cmath.exp(cj * complex(math.log(abs(z)) - math.log(abs(z - aj)), d_arg))
+        return self._power(z, complex(z), j, self._cut_angle[(j, j)],
+                           f"the radial cut through point {j}")
 
     # -- re-cut powers ---------------------------------------------------
 
@@ -142,10 +148,8 @@ class BranchContext:
         if j == k:
             return self.pow_a(z, j)
         aj = self.config.a[j - 1]
-        self._check_ray(z, aj, aj - self.config.a[k - 1],
-                        f"the cut of point {j} re-anchored at {k}")
-        return self._power(z - aj, self.config.c[j - 1], self._cut_angle[(j, k)],
-                           self.branch_shift[j - 1])
+        return self._power(z, z - aj, j, self._cut_angle[(j, k)],
+                           f"the cut of point {j} re-anchored at {k}")
 
     # -- phase constants ----------------------------------------------------
 
@@ -162,7 +166,8 @@ class BranchContext:
         turns = 0.0
         for m in range(1, self.config.nu + 1):
             if m != j:
-                w = aj - self.config.a[m - 1]
-                d = _arg_cut(w, self._cut_angle[(m, j)]) - _arg_cut(w, self._cut_angle[(m, k)])
-                turns += self.config.c[m - 1] * round(d / (2.0 * math.pi))
+                phase = cmath.phase(aj - self.config.a[m - 1])
+                d = arg_cut(phase, self._cut_angle[(m, j)]) \
+                    - arg_cut(phase, self._cut_angle[(m, k)])
+                turns += self.config.c[m - 1] * round(d / TWO_PI)
         return cmath.exp(2j * math.pi * (turns - round(turns)))

@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .asym import ChainConstantOutOfRange, build_model
+from .asym import ChainConstantOutOfRange, TermOutOfRange, build_model
 from .branches import OnCut
 from .core import MAX_EXPONENT, ConfigError, load_config
 from .oracle import (IllConditioned, NoConvergence, QuadratureNotConverged,
@@ -439,7 +439,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         return EXIT_NON_GENERIC
     except (QuadratureNotConverged, IllConditioned, NoConvergence,
-            ContourThroughZero, OnCut, ChainConstantOutOfRange) as exc:
+            ContourThroughZero, OnCut, ChainConstantOutOfRange, TermOutOfRange) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if outputs:

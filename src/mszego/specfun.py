@@ -16,8 +16,9 @@ route gives one of the two functions and the link above gives the other:
 * Kummer's series ``E_c = exp(z)/Gamma(c) sum (-z)^k / ((c + k) k!)``
   gives ``E_c`` near the negative axis, ``|arg z| > CF_ANGLE``, from
   ``|z| >= CF_RADIUS + max(c, 0)`` out to ``KUMMER_RADIUS``; its terms do
-  not cancel there and it is real on the axis.  It serves only while the
-  series disk below ends inside ``KUMMER_RADIUS`` (c < 35);
+  not cancel there and it is real on the axis.  For c < 0 it also takes
+  ``KUMMER_ANGLE < |arg z| <= CF_ANGLE`` inside the series disk below.  It
+  serves only while that disk ends inside ``KUMMER_RADIUS`` (c < 35);
 * the series above gives ``E_c`` in the rest of the disk
   ``|z| <= SERIES_RADIUS + |c|``;
 * Legendre's continued fraction for ``Gamma(c, z)``, by the modified
@@ -29,9 +30,13 @@ route gives one of the two functions and the link above gives the other:
 On 48-point rings ``|z| = 0.5 .. 35`` at c = -0.99, -0.9, -0.5, 0.5, 1,
 1.3, 2, 2.5, 3, 5.5 and 10.5 both functions agree with 40-digit values
 to a relative 5.5e-13.  The worst points lie just past the wedge, where
-Kummer's series loses about ``exp(|z| (1 + cos CF_ANGLE))`` ulps.  For c
-in (-1, -0.5) the series still cancels between ``|arg z| = 2`` and
-``CF_ANGLE`` inside its disk: 2.1e-12 at c = -0.99, 2.6e-12 at c = -0.9.
+Kummer's series loses about ``exp(|z| (1 + cos CF_ANGLE))`` ulps.  For
+c < 0 the series cancels toward the negative axis inside its disk
+(3.8e-12 at c = -0.99, 6.3e-13 at c = -0.7 at ``|arg z| = 1.96``), so
+Kummer's series serves there from ``KUMMER_ANGLE`` on: at c = -0.999,
+-0.99, -0.9, -0.7, -0.5, -0.4, -0.3, -0.2, -0.1, -0.05 and -0.01, on 59
+radii ``|z| = 0.5 .. 5 + |c|`` at 81 angles from 0 to pi, ``E_c`` is
+within 7.1e-14, and within 2.0e-14 from ``|arg z| = 2`` on.
 On rings ``|z| = 0.5 .. 2c + 20`` at 41 angles from 0 to ``pi - 1e-9``
 and c = 40.5, 50.5, ..., 80.5 they agree to 2e-14; at c = 85 the rim
 ``|z| = 5 + c`` of the series disk reaches 3.6e-13, and 2.5e-11 at c = 90,
@@ -76,6 +81,10 @@ CF_RADIUS = 1.0
 # elsewhere the slowest point, |z| = 1 at the wedge edge, takes ~790 steps
 CF_MAX_TERMS = 2000
 KUMMER_RADIUS = 40.0     # past it the fraction serves the negative axis too
+# for c < 0 the series cancels toward the negative axis inside its disk;
+# Kummer's series loses at most exp(|z| (1 + cos KUMMER_ANGLE)) ulps there,
+# about 340 at |z| = 6
+KUMMER_ANGLE = 1.6
 EPS = float(np.finfo(float).eps)
 TINY = 1e-300            # Lentz's stand-in for a zero denominator
 GAMMA_MAX_ARG = 171.6243769563027  # the largest x with Gamma(x) a finite double
@@ -121,22 +130,27 @@ class FcEvaluator:
         # series disk reaches KUMMER_RADIUS (c >= 35) the series, which cancels
         # only for small c, serves the whole disk instead
         self._kummer_radius = KUMMER_RADIUS if self._radius < KUMMER_RADIUS else 0.0
+        self._kummer_angle = KUMMER_ANGLE if c < 0 else CF_ANGLE   # inside the disk
         # 1/Gamma(c) stays a numpy float64: a Python float would move the bits
         # of every quotient by it
         self._rgamma_c = rgamma(c)[()]
         k = np.arange(SERIES_MAX_TERMS)
-        self._rgammas = rgamma(c + 1.0 + k)
+        rgammas = rgamma(c + 1.0 + k)
         # Kummer's coefficients as (c)_k/k! times 1/Gamma(c + k + 1): finite
-        # at every c, where 1/((c + k) Gamma(c)) is 0/0 at c = -k
-        self._kummer = self._rgammas * np.cumprod(np.r_[1.0, (c + k[:-1]) / k[1:]])
+        # at every c, where 1/((c + k) Gamma(c)) is 0/0 at c = -k.  Both
+        # tables are Python floats: the series loop multiplies by one entry per
+        # term, and a numpy scalar there costs more than the product itself
+        self._rgammas = rgammas.tolist()
+        self._kummer = (rgammas * np.cumprod(np.r_[1.0, (c + k[:-1]) / k[1:]])).tolist()
 
     def entire(self, zeta: complex) -> complex:
         """E_c(zeta): everywhere-continuous companion of exp(z)/z^c."""
         zeta = complex(zeta)
-        if (self._cf_radius <= abs(zeta) < self._kummer_radius
-                and abs(cmath.phase(zeta)) > CF_ANGLE):
+        r = abs(zeta)
+        if self._cf_radius <= r < self._kummer_radius and abs(cmath.phase(zeta)) > (
+                self._kummer_angle if r <= self._radius else CF_ANGLE):
             return cmath.exp(zeta) * self._series(self._kummer, -zeta)
-        if abs(zeta) <= self._radius:
+        if r <= self._radius:
             return self._series(self._rgammas, zeta)
         return cmath.exp(zeta) * zeta ** (-self.c) - self._fraction(zeta)
 

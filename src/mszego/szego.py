@@ -156,7 +156,7 @@ def classify(z: complex, structure: SzegoStructure) -> int:
     if abs(z) >= 1.0:
         return 0
     vals = _plane_values(z, structure.config.a, structure.L)
-    return int(np.argmax(vals))
+    return vals.index(max(vals))
 
 
 def plane_stack(z, a, L) -> np.ndarray:

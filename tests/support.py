@@ -10,7 +10,9 @@ one-dimensional radial integral or, down to c = -1, from Kummer functions
 in polar coordinates about the point.  Two helpers feed the package
 inputs: a seeded stream of generic configurations, and the Fujiwara
 circle that ``oracle.roots`` once started from, kept to show what its
-start changes.
+start changes.  The regional terms of the model, which it forms as
+logarithms, are rebuilt here as products of the single branched powers,
+and its cut test is checked against raw ray geometry.
 """
 
 import cmath
@@ -143,6 +145,47 @@ def sampled_eta_tilde(ctx, k, j, t):
     z = aj + t * d + 1e-8j * d / abs(d)
     return (ctx.pow_a_Bk(z, j, k) / ctx.pow_a(z, j)) \
         * (eval_Wk(ctx, z, j) / eval_Wk(ctx, z, k))
+
+
+def product_term(model, z, label):
+    """A regional term as the product of its factors: the reference for the
+    logarithmic form.
+
+    The outer term is ``z^n prod_j z^(c_j) / (z - a_j)^(c_j)``; the term of
+    region j is ``-exp(N (conj(a_j) z + ell_j)) C_j / ((z - a_j) prod_{i != j}
+    B_ij(z))``, with B_ij the j-anchored power of point i.
+    """
+    br, cfg = model.branch, model.config
+    if label == 0:
+        out = complex(z) ** cfg.n
+        for j in range(1, cfg.nu + 1):
+            out *= br.pow_z(z, j) / br.pow_a(z, j)
+        return out
+    aj = cfg.a[label - 1]
+    denom = z - aj
+    for i in range(1, cfg.nu + 1):
+        if i != label:
+            denom *= br.pow_a_Bk(z, i, label)
+    wave = cmath.exp(cfg.N * (aj.conjugate() * z + model.structure.ell[label - 1]))
+    return -wave * model.chain_const[label - 1] / denom
+
+
+def ray_distance(z, origin, direction):
+    """Distance from z to the ray origin + t*direction, t >= 0."""
+    d = direction / abs(direction)
+    w = z - origin
+    t = (w * d.conjugate()).real
+    return abs(w) if t <= 0.0 else abs(w - t * d)
+
+
+def term_rays(cfg, label):
+    """The cut rays, as (origin, direction), that the term of a label reads:
+    the radial ray through every point for the outer term, the ray from a_i
+    away from a_j for every i != j for the term of region j."""
+    if label == 0:
+        return [(0j, aj) for aj in cfg.a]
+    aj = cfg.a[label - 1]
+    return [(ai, ai - aj) for i, ai in enumerate(cfg.a, start=1) if i != label]
 
 
 def ray_product(ctx, q0, q1, skip=()):

@@ -1,17 +1,21 @@
 import cmath
+import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
 from mszego.asym import build_model, chain_constant
-from mszego.branches import BranchContext, OnCut
+from mszego.branches import ONCUT_TOL, BranchContext, OnCut
 from mszego.core import Configuration, validate_config
 from mszego.oracle import exact_moments, monic_op, poly_eval, quad_moments
 from mszego.szego import NonGeneric, solve_structure, trace_curve
 
 from conftest import A1, NON_GENERIC_A
+from support import product_term, ray_distance, term_rays
 
 
 def eq2_bounded_region(z, a, c, N):
@@ -154,6 +158,110 @@ def test_branch_rotation_leaves_moduli(cfg_level2_frac):
             continue
         assert abs(abs(b) - abs(r)) < 1e-10 * abs(b)
         checked += 1
+
+
+# -- the terms as logarithms ---------------------------------------------------
+
+EPS = sys.float_info.epsilon
+# arg(a_2 - a_1) lies more than pi from arg a_2: the 1-anchored window of
+# point 2 is lifted by a whole turn
+LIFTED = Configuration(a=(0.41 - 0.27j, -0.48 - 0.08j), c=(0.5, 1.5), n=32, N=None)
+
+
+@pytest.mark.parametrize("name, shift", [
+    ("cfg_single", ()), ("cfg_pair", ()), ("cfg_level2", ()), ("cfg_level2_frac", ()),
+    ("cfg_level3", ()), ("cfg_branchy", ()), ("lifted", ()), ("cfg_level2_frac", (1, -1))])
+def test_log_terms_match_product_form(request, name, shift):
+    # every label at seeded points, against the product of the single powers,
+    # the plane wave, the chain constant and z^n, to 4 n eps where the value
+    # is a normal double; both forms refuse the same points as on a cut
+    base = validate_config(LIFTED) if name == "lifted" else request.getfixturevalue(name)
+    rng = np.random.default_rng(11)
+    compared = 0
+    for n in (16, 64, 96, 700):
+        cfg = base.replace_degree(n)
+        model = build_model(cfg, branch=BranchContext(cfg, branch_shift=shift))
+        for _ in range(30):
+            z = 1.2 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+            for label in range(cfg.nu + 1):
+                try:
+                    want = product_term(model, z, label)
+                except OnCut:
+                    with pytest.raises(OnCut):
+                        model.eval_region(z, label)
+                    continue
+                got = model.eval_region(z, label)
+                if abs(want) >= sys.float_info.min:
+                    assert abs(got - want) <= 4 * n * EPS * abs(want), (n, z, label)
+                    compared += 1
+    assert compared >= 0.85 * 4 * 30 * (base.nu + 1)    # few values are subnormal
+
+
+def _near_ray_points(cfg):
+    """Points 0.5e-12 and 2e-12 to either side of every radial and re-anchored
+    ray, at three places along each."""
+    rays = [ray for label in range(cfg.nu + 1) for ray in term_rays(cfg, label)]
+    for origin, direction in rays:
+        u = direction / abs(direction)
+        for t, off in itertools.product((0.2, 0.6, 1.3), (0.5e-12, -0.5e-12, 2e-12, -2e-12)):
+            yield origin + t * u + off * 1j * u
+
+
+@pytest.mark.parametrize("name", ["cfg_level2_frac", "cfg_branchy", "cfg_level3"])
+def test_on_cut_rule_is_the_ray_distance(request, name):
+    # the window residue decides OnCut exactly where the distance to the ray
+    # does, for the terms, their sum and the single powers
+    cfg = request.getfixturevalue(name)
+    model = build_model(cfg)
+    br = model.branch
+    labels = range(cfg.nu + 1)
+    points = range(1, cfg.nu + 1)
+
+    def near(z, rays):
+        return min(ray_distance(z, o, d) for o, d in rays) <= ONCUT_TOL
+
+    outcomes = []
+    for z in _near_ray_points(cfg):
+        cases = [(lambda lab=lab: model.eval_region(z, lab), term_rays(cfg, lab))
+                 for lab in labels]
+        cases.append((lambda: model.eval_uniform(z),
+                      [ray for lab in labels for ray in term_rays(cfg, lab)]))
+        for j in points:
+            aj = cfg.a[j - 1]
+            cases.append((lambda j=j: br.pow_z(z, j), [(0j, aj)]))
+            for k in points:
+                rays = [(aj, aj)] if j == k else [(aj, aj - cfg.a[k - 1])]
+                cases.append((lambda j=j, k=k: br.pow_a_Bk(z, j, k), rays))
+        for call, rays in cases:
+            try:
+                call()
+                raised = False
+            except OnCut:
+                raised = True
+            assert raised == near(z, rays), (z, rays)
+            outcomes.append(raised)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("name", ["cfg_level2_frac", "cfg_pair"])
+def test_the_pole_of_each_bounded_term_raises_one_error(request, name):
+    # at a_j the term of region j has its simple pole: log 0 refuses it, with
+    # no warning and no inf, whether C_j is a numpy or a Python complex; the
+    # other terms read a cut through a_j, and z = 0 lies on every radial cut
+    model = build_model(request.getfixturevalue(name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j, aj in enumerate(model.config.a, start=1):
+            with pytest.raises(ValueError):
+                model.eval_region(aj, j)
+            for label in range(model.config.nu + 1):
+                if label != j:
+                    with pytest.raises(OnCut):
+                        model.eval_region(aj, label)
+        with pytest.raises(OnCut):
+            model.eval_region(0j, 0)
+        with pytest.raises(OnCut):
+            model.eval_uniform(0j)
 
 
 # -- uniform evaluator ----------------------------------------------------------

@@ -69,6 +69,18 @@ def test_chain_constant_out_of_range_exit_code(tmp_path, capsys):
     assert "ChainConstantOutOfRange" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["region", "uniform", "local"])
+def test_term_past_the_double_range_exit_code(tmp_path, capsys, mode):
+    # at n = N = 2048 the outer term at the grid corner -1.2-1.2i has modulus
+    # exp(1083), and the local form's E_c overflows there too
+    p = tmp_path / "pair2048.json"
+    p.write_text(json.dumps({"a": [[0.5, -0.5], [-0.25, -0.5]], "c": [1.0, 1.0], "n": 2048}))
+    out = tmp_path / "asymp.csv"
+    assert main(["asymp", str(p), "--mode", mode, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "TermOutOfRange" in err and "(-1.2-1.2j)" in err
+
+
 IMPORT_PATH = """
 import sys
 import mszego.cli

@@ -227,14 +227,15 @@ def test_slowest_points_of_the_fraction(c):
             assert abs(ev.f(z) - f) <= 5e-13 * abs(f), (c, z)
 
 
-@pytest.mark.parametrize("c", [-0.99, -0.9, -0.5])
+@pytest.mark.parametrize("c", [-0.99, -0.9, -0.7, -0.5, -0.3])
 def test_kummer_wedge_inside_the_series_disk(c):
-    # near the negative axis the series sum z^k / Gamma(c + k + 1) cancels
-    # terms of size ~exp(|z|) down to E_c ~ 1/(Gamma(c) |z|), which is small as
-    # c nears -1: it was 9e-12 off at c = -0.99 where Kummer's series is within 1e-14
+    # toward the negative axis the series sum z^k / Gamma(c + k + 1) cancels
+    # terms of size ~exp(|z|) down to E_c ~ 1/(Gamma(c) |z|): for c < 0 it was
+    # 3.8e-12 off at c = -0.99 and 7.9e-13 at c = -0.3 on 2 < |arg z| <= CF_ANGLE,
+    # where Kummer's series is within 2e-14
     ev = FcEvaluator(c)
     for r in np.linspace(0.5, 5.0 + abs(c), 8):
-        for theta in np.linspace(specfun.CF_ANGLE + 1e-9, math.pi - 1e-9, 7):
+        for theta in np.linspace(0.0, math.pi - 1e-9, 17):
             z = r * cmath.exp(1j * theta)
             E, f = _mp_reference(z, c)
             assert abs(ev.entire(z) - E) <= 5e-13 * abs(E), (c, z)
@@ -249,13 +250,44 @@ def test_reciprocal_gamma_table_against_mpmath(c):
     assert type(ev._rgamma_c) is np.float64
     x = c + 1.0 + np.arange(specfun.SERIES_MAX_TERMS)
     with mp.workdps(40):
-        for xk, got in zip(x.tolist(), ev._rgammas.tolist()):
+        for xk, got in zip(x.tolist(), ev._rgammas):
             if xk > specfun.GAMMA_MAX_ARG:
                 assert got == 0.0, xk
                 continue
             want = float(mp.rgamma(xk))
             # past x ~ 170.6 the value is subnormal: one ulp of slack there
             assert abs(got - want) <= 1e-15 * abs(want) + 5e-324, xk
+
+
+def _numpy_table_series(table, zeta):
+    """The series loop of FcEvaluator._series over a numpy table: every
+    product is by a numpy scalar."""
+    acc = 0j
+    az = abs(zeta)
+    pw = 1.0 + 0j
+    for k in range(specfun.SERIES_MAX_TERMS):
+        r = table[k]
+        acc += pw * r
+        pw *= zeta
+        if abs(pw) * abs(r) < 1e-18 * (abs(acc) + 1e-300) and k > az:
+            break
+    return acc
+
+
+@pytest.mark.parametrize("c", [-0.99, -0.4, 0.5, 1.0, 2.5, 40.5, MAX_EXPONENT])
+def test_series_on_float_tables_keeps_the_numpy_bits(c):
+    ev = FcEvaluator(c)
+    k = np.arange(specfun.SERIES_MAX_TERMS)
+    rgammas = specfun.rgamma(c + 1.0 + k)
+    kummer = rgammas * np.cumprod(np.r_[1.0, (c + k[:-1]) / k[1:]])
+    assert ev._rgammas == rgammas.tolist() and ev._kummer == kummer.tolist()
+    rng = np.random.default_rng(5)
+    for r in (0.3, 2.0, 5.0, 5.0 + abs(c)):
+        for theta in rng.uniform(-math.pi, math.pi, 12):
+            z = r * cmath.exp(1j * theta)
+            for floats, arrays in ((ev._rgammas, rgammas), (ev._kummer, kummer)):
+                got, want = ev._series(floats, z), _numpy_table_series(arrays, z)
+                assert repr(complex(got)) == repr(complex(want)), (c, z)
 
 
 def test_reciprocal_gamma_edges():

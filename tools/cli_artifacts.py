@@ -41,7 +41,10 @@ INTEGER = ("single", "pair", "level2", "level3")
 # the double-double coefficients hold the roots to about 1e-10 only, so
 # `oracle` refuses them (exit 4).  With the pair at 96, the single point and
 # the three-point chain at n = N = 64 pin the cold start of `roots`.
-LARGE_N = {f"pair_n{n}": {**CONFIGS["pair"], "n": n} for n in (40, 96, 128)}
+# `asymp` on the pair at 700, the largest degree whose uniform field holds no
+# value that underflows to 0, and at 2048, where the outer term at the grid
+# corner passes the double range (exit 4).
+LARGE_N = {f"pair_n{n}": {**CONFIGS["pair"], "n": n} for n in (40, 96, 128, 700, 2048)}
 LARGE_N.update({f"{key}_n64": {**CONFIGS[key], "n": 64} for key in ("single", "level3")})
 # two fractional points 0.05 apart, so r_j = 0.0225: the quadrature's cutoff
 # must switch within these small disks and still let mesh doubling converge
@@ -122,6 +125,9 @@ def commands(out: str, cfgs: dict[str, str]):
     yield "levels_non_generic", ["levels", cfgs["non_generic"]]
     name = "asymp_lifted_uniform"
     yield name, ["asymp", cfgs["lifted"], "--mode", "uniform", "--out", path(name + ".csv")]
+    for key in ("pair_n700", "pair_n2048"):
+        name = f"asymp_{key}_uniform"
+        yield name, ["asymp", cfgs[key], "--mode", "uniform", "--out", path(name + ".csv")]
     name = "curve_short_arc_20"
     yield name, ["curve", cfgs["short_arc"], "--grid", "20", "--out", path(name + ".csv")]
     name = "compare_quad_pair_6"
