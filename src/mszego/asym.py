@@ -204,7 +204,8 @@ class AsymptoticModel:
         It is ``exp(log T_k + c_j log zeta - zeta) E_c(zeta)``, with T_k the
         term of the arrow's target k and the principal log of zeta; the
         entire E_c keeps the value continuous across the local coordinate's
-        negative axis.
+        negative axis.  Where E_c(zeta) alone overflows, the factor
+        ``exp(-zeta) E_c(zeta)`` is formed as ``zeta^(-c_j) - exp(-zeta) f_c(zeta)``.
         """
         k = self.structure.arrow(j)
         zeta = self.zeta_map(z, j)
@@ -215,13 +216,15 @@ class AsymptoticModel:
                 return 0.0 + 0j
             raise ValueError(
                 f"the local form diverges at a_{j} for negative exponents")
-        log_t = self._log_terms(z, (k,))[0] + cj * cmath.log(zeta) - zeta
+        log_t = self._log_terms(z, (k,))[0] + cj * cmath.log(zeta)
+        fc = self.fc[j - 1]
         try:
-            entire = self.fc[j - 1].entire(zeta)
-        except OverflowError as exc:
-            raise TermOutOfRange(
-                f"E_c at the local coordinate {zeta} of {z} is past the double range") from exc
-        return _exp(z, log_t) * entire
+            entire = fc.entire(zeta)
+        except OverflowError:
+            # E_c(zeta) alone passes the double range, but
+            # e^(-zeta) E_c(zeta) = zeta^(-c) - e^(-zeta) f_c(zeta) does not
+            return _exp(z, log_t) * (zeta ** -cj - cmath.exp(-zeta) * fc.f(zeta))
+        return _exp(z, log_t - zeta) * entire
 
     def disk_radius(self, j: int) -> float:
         return self.disk_radii[j - 1]

@@ -44,11 +44,18 @@ where the table ``1/Gamma(c + k + 1)`` runs past the overflow of Gamma.
 Near the negative axis at ``|z| = 40 .. 44`` and c < 0 the fraction runs
 out of steps but stays within 1e-13.
 
-Zeros of ``E_c`` are isolated by the argument principle on bisected
-rectangles (Delves & Lyness 1967).  As soon as a rectangle winds once,
-Newton runs from its centre; the zero is taken if Newton settles inside
-the rectangle, and the rectangle is halved otherwise.  A rectangle that
-still fails under 0.05 on a side ends the search.
+Zeros of ``E_c`` are counted by the argument principle on the boundary
+of the box (Delves & Lyness 1967).  Far out ``f_c(z) ~ 1/(Gamma(c) z)``,
+so the zeros sit near the ladder
+``s_k = 2 pi i k + (c - 1) log(2 pi i k) - log Gamma(c)`` (exactly
+``2 pi i k`` at c = 1), and Newton runs from each ``s_k`` and its conjugate
+near the box.  When it certifies as many zeros as the box winds, the
+search ends.  Otherwise (c < 0, whose real zero no seed reaches; large c,
+whose zeros leave the ladder; boxes the seeds miss) the box is bisected
+by winding counts: as soon as a rectangle winds once, Newton runs from
+its centre; the zero is taken if Newton settles inside the rectangle, and
+the rectangle is halved otherwise.  A rectangle that still fails under
+0.05 on a side ends the search.
 """
 
 from __future__ import annotations
@@ -159,11 +166,15 @@ class FcEvaluator:
 
         At zeta = 0 it is ``1/Gamma(c + 2)``.
         """
+        return self.entire_with_deriv(zeta)[1]
+
+    def entire_with_deriv(self, zeta: complex) -> tuple[complex, complex]:
+        """E_c(zeta) and E_c'(zeta), both from one evaluation of E_c."""
         zeta = complex(zeta)
-        if zeta == 0:
-            return complex(self._rgammas[1])
         e = self.entire(zeta)
-        return e + (self._rgamma_c - self.c * e) / zeta
+        if zeta == 0:
+            return e, complex(self._rgammas[1])
+        return e, e + (self._rgamma_c - self.c * e) / zeta
 
     def f(self, zeta: complex) -> complex:
         """f_c(zeta) off the closed negative real axis."""
@@ -277,57 +288,81 @@ def _boundary_winding(ev: FcEvaluator, x0, x1, y0, y1) -> int:
     return int(wi)
 
 
-def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
-    """All zeros of E_c inside the rectangle ``box = (x0, x1, y0, y1)``.
+def _newton(ev: FcEvaluator, z: complex, box, tol: float) -> complex | None:
+    """Newton on E_c from ``z``: the zero if it settles inside ``box``.
 
-    Boxes are halved by winding count.  A box that winds once is polished
-    at once: Newton from its centre, taken if it settles inside the box
-    and passes the forward-error guard
-    ``|E_c(z)| <= 1e3 tol (1 + |z|) |E_c'(z)|``.  Otherwise the box is
-    halved again; one that still fails under 0.05 on a side raises
-    ContourThroughZero.  The zeros found are checked against the winding
-    number of the whole box.
-
-    At a nonpositive integer c = -m, ``E_c(z) = z^m e^z``: its one zero,
-    0 of multiplicity m, no box splits, so it is returned m times when
-    the closed box holds 0.
+    It settles when its step falls below ``0.25 tol (1 + |z|)``; an iterate
+    that leaves the box ends the run, and the zero is taken only if it
+    passes the forward-error guard ``|E_c(z)| <= 1e3 tol (1 + |z|) |E_c'(z)|``.
     """
-    x0, x1, y0, y1 = (float(v) for v in box)
-    if c <= 0 and c == round(c):
-        return [0j] * -int(c) if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1 else []
-    ev = _evaluator(c)
-    total = _boundary_winding(ev, x0, x1, y0, y1)
+    x0, x1, y0, y1 = box
+    for _ in range(60):
+        v, dv = ev.entire_with_deriv(z)
+        if dv == 0:
+            return None
+        step = v / dv
+        z -= step
+        if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
+            return None
+        if abs(step) < 0.25 * tol * (1.0 + abs(z)):
+            break
+    else:
+        return None
+    v, dv = ev.entire_with_deriv(z)
+    if abs(v) > 1e3 * tol * (1.0 + abs(z)) * abs(dv):
+        return None
+    return z
+
+
+def _ladder_zeros(ev: FcEvaluator, box, count: int, tol: float) -> list[complex]:
+    """The distinct zeros Newton certifies in ``box`` from the ladder's seeds.
+
+    Far out ``f_c(z) ~ 1/(Gamma(c) z)``, so the zeros solve
+    ``z = 2 pi i k + (c - 1) log z - log Gamma(c)``.  Newton runs from
+    ``s_k = 2 pi i k + (c - 1) log(2 pi i k) - log Gamma(c)`` and from its
+    conjugate (E_c is real on the real axis), for every k >= 1 whose seed
+    lies within one ladder spacing of the box, and stops at ``count`` zeros.
+    """
+    c = ev.c
+    x0, x1, y0, y1 = box
+    # log Gamma(c) takes the phase pi where Gamma(c) < 0
+    log_gamma = complex(math.lgamma(c), math.pi if c < 0 and math.floor(c) % 2 else 0.0)
+    spacing = 2.0 * math.pi
+    # Im s_k lies within (|c - 1|/2 + 1) pi of 2 pi k
+    reach = max(abs(y0), abs(y1)) + spacing + (0.5 * abs(c - 1.0) + 1.0) * math.pi
     zeros: list[complex] = []
+    for k in range(1, int(reach / spacing) + 1):
+        seed = complex(0.0, spacing * k)
+        seed += (c - 1.0) * cmath.log(seed) - log_gamma
+        for s in (seed, seed.conjugate()):
+            dx = max(x0 - s.real, 0.0, s.real - x1)
+            dy = max(y0 - s.imag, 0.0, s.imag - y1)
+            if math.hypot(dx, dy) > spacing:
+                continue
+            z = _newton(ev, s, box, tol)
+            if z is not None and all(abs(z - w) > tol * (1.0 + abs(z)) for w in zeros):
+                zeros.append(z)
+                if len(zeros) == count:
+                    return zeros
+    return zeros
 
-    def polish(bx0, bx1, by0, by1) -> complex | None:
-        """Newton from the box centre: the zero if it settles in the box.
 
-        It settles when its step meets ``tol``; an iterate that leaves the
-        box ends the run.
-        """
-        z = complex(0.5 * (bx0 + bx1), 0.5 * (by0 + by1))
-        for _ in range(60):
-            v = ev.entire(z)
-            dv = ev.entire_deriv(z)
-            if dv == 0:
-                return None
-            step = v / dv
-            z -= step
-            if not (bx0 <= z.real <= bx1 and by0 <= z.imag <= by1):
-                return None
-            if abs(step) < 0.25 * tol * (1.0 + abs(z)):
-                break
-        else:
-            return None
-        if abs(ev.entire(z)) > 1e3 * tol * (1.0 + abs(z)) * abs(ev.entire_deriv(z)):
-            return None
-        return z
+def _descent_zeros(ev: FcEvaluator, box, count: int, tol: float) -> list[complex]:
+    """The ``count`` zeros in ``box``, isolated by bisection on winding counts.
+
+    A box that winds once is polished at once: Newton from its centre is
+    taken if it settles inside the box.  Otherwise the box is halved again;
+    one that still fails under 0.05 on a side raises ContourThroughZero, as
+    does a total that differs from ``count``.
+    """
+    zeros: list[complex] = []
 
     def descend(bx0, bx1, by0, by1, count, depth):
         if count == 0:
             return
         if count == 1:
-            z = polish(bx0, bx1, by0, by1)
+            z = _newton(ev, complex(0.5 * (bx0 + bx1), 0.5 * (by0 + by1)),
+                        (bx0, bx1, by0, by1), tol)
             if z is not None:
                 zeros.append(z)
                 return
@@ -356,10 +391,39 @@ def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
                 return
         raise ContourThroughZero("could not split the box cleanly; jitter it")
 
-    descend(x0, x1, y0, y1, total, 0)
-    zeros.sort(key=lambda z: (z.real, z.imag))
-    if len(zeros) != total:
+    descend(*box, count, 0)
+    if len(zeros) != count:
         raise ContourThroughZero(
-            f"found {len(zeros)} zeros but the box winding is {total}")
+            f"found {len(zeros)} zeros but the box winding is {count}")
     return zeros
 
+
+def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
+    """All zeros of E_c inside the rectangle ``box = (x0, x1, y0, y1)``.
+
+    The winding number of the whole box counts them.  Newton then runs from
+    the seeds of the ``2 pi i k`` ladder (see ``_ladder_zeros``); when the
+    distinct zeros it certifies inside the box match the count, they are
+    the answer.  Otherwise the box is searched by bisection on winding
+    counts (``_descent_zeros``): this serves c < 0, whose real zero no seed
+    reaches, large c, whose zeros leave the ladder, and any box the seeds
+    miss.  Every zero passes the forward-error guard
+    ``|E_c(z)| <= 1e3 tol (1 + |z|) |E_c'(z)|``.  The zeros come sorted by
+    real part rounded to 9 places, then by imaginary part, so that a
+    last-bit move of a real part does not reorder them.
+
+    At a nonpositive integer c = -m, ``E_c(z) = z^m e^z``: its one zero,
+    0 of multiplicity m, no box splits, so it is returned m times when
+    the closed box holds 0.
+    """
+    box = tuple(float(v) for v in box)
+    x0, x1, y0, y1 = box
+    if c <= 0 and c == round(c):
+        return [0j] * -int(c) if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1 else []
+    ev = _evaluator(c)
+    total = _boundary_winding(ev, x0, x1, y0, y1)
+    zeros = _ladder_zeros(ev, box, total, tol) if total else []
+    if len(zeros) != total:
+        zeros = _descent_zeros(ev, box, total, tol)
+    zeros.sort(key=lambda z: (round(z.real, 9), z.imag))
+    return zeros

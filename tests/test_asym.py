@@ -334,6 +334,26 @@ def test_local_matches_region_toward_neighbor(model_single):
         assert abs(lo / re - 1) < 2e-2
 
 
+def test_local_form_where_E_c_alone_overflows():
+    # the pair at n = N = 700: at -1.2+0.42i the local coordinates are
+    # 1328-1612i (a_1) and 731-517i (a_2), where E_c alone passes the double
+    # range but exp(log T_k + c log zeta - zeta) E_c(zeta) does not
+    mp = pytest.importorskip("mpmath")
+    model = build_model(validate_config(Configuration(
+        a=(0.5 - 0.5j, -0.25 - 0.5j), c=(1.0, 1.0), n=700, N=None)))
+    z = complex(-1.2, 0.42)
+    for j in (1, 2):
+        zeta = model.zeta_map(z, j)
+        with pytest.raises(OverflowError):
+            model.fc[j - 1].entire(zeta)
+        got = model.eval_local(z, j)
+        t = model.eval_region(z, model.structure.arrow(j))
+        with mp.workdps(40):
+            ze = mp.mpc(zeta)
+            want = complex(mp.mpc(t) * ze * mp.exp(-ze) * mp.hyp1f1(1, 2, ze))
+        assert abs(got - want) <= 1e-12 * abs(want), j
+
+
 def test_local_matching_annulus(cfg_single):
     cfg = cfg_single.replace_degree(32)
     model = build_model(cfg)

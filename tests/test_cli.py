@@ -81,6 +81,16 @@ def test_term_past_the_double_range_exit_code(tmp_path, capsys, mode):
     assert "TermOutOfRange" in err and "(-1.2-1.2j)" in err
 
 
+def test_local_form_past_the_range_of_E_c(tmp_path):
+    # at n = N = 700, E_c alone overflows at -1.2+0.42i (zeta = 731-517i);
+    # the local form there is still a double
+    p = tmp_path / "pair700.json"
+    p.write_text(json.dumps({"a": [[0.5, -0.5], [-0.25, -0.5]], "c": [1.0, 1.0], "n": 700}))
+    out = tmp_path / "asymp.csv"
+    assert main(["asymp", str(p), "--mode", "local", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1651
+
+
 IMPORT_PATH = """
 import sys
 import mszego.cli

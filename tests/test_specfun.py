@@ -1,5 +1,7 @@
 import cmath
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -320,22 +322,47 @@ def test_zeros_unit_exponent_box():
 
 
 def test_zeros_split_when_newton_leaves_the_box(monkeypatch):
-    # Newton from this box's centre leaves the box, so the one zero is
-    # found only after the box is split
+    # the real zero of E_{-1/2} lies on no ladder seed's path, and Newton
+    # from this box's centre leaves the box, so the one zero is found only
+    # after the box is split; the reference is mpmath's at 30 digits
     calls = _count_windings(monkeypatch)
-    zs = zeros_E_c(1.0, (-0.2, 5.0, 6.0, 12.0))
+    zs = zeros_E_c(-0.5, (-3.0, 0.5, -0.5, 4.0))
     assert len(zs) == 1
-    assert abs(zs[0] - 2j * math.pi) < 1e-12
+    assert abs(zs[0] - -0.854032656598196990) < 1e-12
     assert len(calls) > 1
 
 
-def test_zeros_polish_once_a_box_holds_one_zero(monkeypatch):
-    # the benchmark box: polishing as soon as a box holds one zero keeps
-    # the contour count well under the 100 of halving to the 0.05 floor
+def test_zeros_from_the_ladder_take_one_contour(monkeypatch):
+    # the benchmark box: the count comes from one contour, and Newton from
+    # the seeds 2 pi i k finds all three zeros, so no box is split
     calls = _count_windings(monkeypatch)
     zs = zeros_E_c(1.0, (-2.0, 6.0, 0.5, 25.0))
+    assert len(calls) == 1
     assert len(zs) == 3
-    assert len(calls) <= 30
+    for k, z in enumerate(zs, start=1):
+        assert abs(z - 2j * math.pi * k) <= 1e-15 * k
+
+
+def _artifact_zero_boxes():
+    """(c, box) of every valid `fc-zeros` run of tools/cli_artifacts.py."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cli_artifacts.py")
+    spec = importlib.util.spec_from_file_location("cli_artifacts", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    runs = [(float(c), tuple(map(float, box))) for c, box in mod.ZERO_RUNS]
+    return [(c, box) for c, box in runs if box[0] < box[1] and box[2] < box[3]]
+
+
+@pytest.mark.parametrize("c, box", _artifact_zero_boxes())
+def test_zeros_equal_the_descent(c, box):
+    # the ladder changes how the zeros are found, not which: the box
+    # descent on its own finds the same ones
+    ev = specfun._evaluator(c)
+    want = specfun._descent_zeros(ev, box, specfun._boundary_winding(ev, *box), 1e-10)
+    got = zeros_E_c(c, box)
+    assert len(got) == len(want)
+    for w in want:
+        assert min(abs(z - w) for z in got) <= 1e-12 * (1.0 + abs(w)), (c, w)
 
 
 def test_zeros_unit_exponent_ladder():
@@ -417,7 +444,7 @@ def test_unit_exponent_zeros_are_exact():
         assert abs(z - 2j * math.pi * k) <= 1e-13
 
 
-@pytest.mark.parametrize("c", [-0.5, 0.5, 1.3])
+@pytest.mark.parametrize("c", [-0.5, 0.5, 1.0, 1.3, 2.0, 2.5])
 def test_zeros_against_mpmath_newton_step(c):
     mp = pytest.importorskip("mpmath")
     zs = zeros_E_c(c, (-6.0, 20.0, -21.0, 21.0))

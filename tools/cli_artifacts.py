@@ -79,6 +79,18 @@ NON_GENERIC = {"non_generic": {"a": [[0.3794, -0.2438], [0.3797, -0.2434]],
 LIFTED = {"lifted": {"a": [[0.41, -0.27], [-0.48, -0.08]], "c": [0.5, 1.5], "n": 32}}
 
 
+# (c, box) of every `fc-zeros` run; tests/test_specfun.py checks the ladder
+# against the descent on each valid box
+ZERO_RUNS = [("1", ("-2", "6", "0.5", "25"))]
+# 2.5: the ladder at c != 1; 10.5: four zeros off the ladder, found by the
+# descent
+ZERO_RUNS += [(c, ("-6", "20", "-21", "21")) for c in ("0.5", "-0.5", "1.3", "2.5", "10.5")]
+ZERO_RUNS += [("2", ("-10.5", "10.5", "-10.5", "10.5")), ("1", ("1", "-1", "5", "8"))]
+ZERO_RUNS += [("1", ("-0.2", "5", "6", "12")), ("1", ("-1", "1", "5", "34"))]
+# no zero, and |E_c| ~ 1/Gamma(21) on the whole box
+ZERO_RUNS += [("20", ("-1", "1", "5", "8"))]
+
+
 def commands(out: str, cfgs: dict[str, str]):
     """(name, argv) of every run; each name prefixes the files it writes."""
     def path(name):
@@ -128,6 +140,10 @@ def commands(out: str, cfgs: dict[str, str]):
     for key in ("pair_n700", "pair_n2048"):
         name = f"asymp_{key}_uniform"
         yield name, ["asymp", cfgs[key], "--mode", "uniform", "--out", path(name + ".csv")]
+    # E_c alone passes the double range at the grid's left edge (zeta = 731-517i
+    # at -1.2+0.42i), where the local form still takes a double
+    name = "asymp_pair_n700_local"
+    yield name, ["asymp", cfgs["pair_n700"], "--mode", "local", "--out", path(name + ".csv")]
     name = "curve_short_arc_20"
     yield name, ["curve", cfgs["short_arc"], "--grid", "20", "--out", path(name + ".csv")]
     name = "compare_quad_pair_6"
@@ -147,13 +163,7 @@ def commands(out: str, cfgs: dict[str, str]):
     # the table 1/Gamma(c + k + 1) runs past the overflow of Gamma
     yield "fc_85_extent95", ["fc", "--c", "85", "--extent", "95",
                              "--out", path("fc_85_extent95.csv")]
-    zero_runs = [("1", ("-2", "6", "0.5", "25"))]
-    zero_runs += [(c, ("-6", "20", "-21", "21")) for c in ("0.5", "-0.5", "1.3")]
-    zero_runs += [("2", ("-10.5", "10.5", "-10.5", "10.5")), ("1", ("1", "-1", "5", "8"))]
-    zero_runs += [("1", ("-0.2", "5", "6", "12")), ("1", ("-1", "1", "5", "34"))]
-    # no zero, and |E_c| ~ 1/Gamma(21) on the whole box
-    zero_runs += [("20", ("-1", "1", "5", "8"))]
-    for c, box in zero_runs:
+    for c, box in ZERO_RUNS:
         name = f"fc_zeros_{c}_{'_'.join(box)}"
         yield name, ["fc-zeros", "--c", c, "--box", *box, "--out", path(name + ".csv")]
 
