@@ -9,8 +9,15 @@ splitting (no FMA assumed); every step is one IEEE operation, so an
 array call gives the bits of the scalar calls.  Only what the moment
 oracle needs is implemented: field operations, square root, rounding,
 a Hermitian Cholesky solve and polynomial evaluation, at one point
-(``horner``, on Python scalars) or for several polynomials at many
-points in one pass (``horner_stack``, on real arrays).
+(``horner``) or for several polynomials at many points in one pass
+(``horner_stack``, on real arrays).
+
+On Python scalars a call costs more than the arithmetic, so ``add``,
+``mul``, ``div``, ``horner`` and the Cholesky solve's products and
+quotients are written out on floats: the same IEEE operations in the
+same order as their compositions of two-sums, quick-sums and Dekker
+products, with the same bits.  ``horner_stack`` keeps those bits with
+few numpy calls per step.
 """
 
 from __future__ import annotations
@@ -22,35 +29,11 @@ import numpy as np
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-
 def _split(a):
     """Dekker's split of a into two halves of at most 26 significant bits."""
     ca = _SPLIT * a
     ahi = ca - (ca - a)
     return ahi, a - ahi
-
-
-def _two_prod(a, b):
-    # the splits are written out: on Python scalars calls cost more than the arithmetic
-    p = a * b
-    ca = _SPLIT * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLIT * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
 
 
 def dd(x):
@@ -66,12 +49,23 @@ def dd(x):
 
 
 def add(x, y):
-    s1, s2 = _two_sum(x[0], y[0])
-    t1, t2 = _two_sum(x[1], y[1])
-    s2 += t1
-    s1, s2 = _quick_sum(s1, s2)
-    s2 += t2
-    return _quick_sum(s1, s2)
+    # written out, as are mul and div: on Python scalars calls cost more
+    # than the arithmetic.  Two two-sums, of the hi and of the lo parts,
+    # then two quick-sums.
+    a, a_lo = x
+    b, b_lo = y
+    s = a + b
+    v = s - a
+    u = (a - (s - v)) + (b - v)
+    t = a_lo + b_lo
+    v = t - a_lo
+    w = (a_lo - (t - v)) + (b_lo - v)
+    u += t
+    r = s + u
+    u = u - (r - s)
+    u += w
+    s = r + u
+    return s, u - (s - r)
 
 
 def sub(x, y):
@@ -89,20 +83,52 @@ def value(x):
 
 def mul(x, y):
     """Product of real double-doubles."""
-    p1, p2 = _two_prod(x[0], y[0])
-    p2 += x[0] * y[1] + x[1] * y[0]
-    return _quick_sum(p1, p2)
+    a, a_lo = x
+    b, b_lo = y
+    p = a * b
+    ca = _SPLIT * a
+    ah = ca - (ca - a)
+    at = a - ah
+    cb = _SPLIT * b
+    bh = cb - (cb - b)
+    bt = b - bh
+    e = ((ah * bh - p) + ah * bt + at * bh) + at * bt
+    e += a * b_lo + a_lo * b
+    s = p + e
+    return s, e - (s - p)
 
 
 def div(x, y):
     """Quotient of real double-doubles."""
-    q1 = x[0] / y[0]
-    r = sub(x, mul((q1, 0.0), y))
-    q2 = r[0] / y[0]
-    r = sub(r, mul((q2, 0.0), y))
-    q3 = r[0] / y[0]
-    s, e = _quick_sum(q1, q2)
-    return add((s, e), (q3, 0.0))
+    # q1 + q2 + q3, each the leading quotient of the remainder left by the
+    # ones before, which is (a, a_lo) = sub((a, a_lo), mul((q, 0.0), y))
+    a, a_lo = x
+    b, b_lo = y
+    c = _SPLIT * b
+    bh = c - (c - b)
+    bt = b - bh
+    q = a / b
+    quotients = []
+    for _ in range(2):
+        c = _SPLIT * q
+        qh = c - (c - q)
+        qt = q - qh
+        p = q * b
+        e = ((qh * bh - p) + qh * bt + qt * bh) + qt * bt
+        e += q * b_lo + 0.0 * b
+        s = p + e; e = -(e - (s - p)); p = -s
+        s = a + p; v = s - a; u = (a - (s - v)) + (p - v)
+        t = a_lo + e; v = t - a_lo; w = (a_lo - (t - v)) + (e - v)
+        u += t; r = s + u; u = u - (r - s); u += w; a = r + u; a_lo = u - (a - r)
+        quotients.append(q)
+        q = a / b
+    (q1, q2), q3 = quotients, q
+    # add(quick_sum(q1, q2), (q3, 0.0))
+    s = q1 + q2; e = q2 - (s - q1)
+    r = s + q3; v = r - s; u = (s - (r - v)) + (q3 - v)
+    t = e + 0.0; v = t - e; w = (e - (t - v)) + (0.0 - v)
+    u += t; s = r + u; u = u - (s - r); u += w; r = s + u
+    return r, u - (r - s)
 
 
 def sqrt(x):
@@ -111,8 +137,9 @@ def sqrt(x):
     if x[0] == 0:
         return 0.0, 0.0
     a = math.sqrt(x[0])
-    r = sub(x, mul((a, 0.0), (a, 0.0)))
-    return _quick_sum(a, r[0] / (2.0 * a))
+    q = sub(x, mul((a, 0.0), (a, 0.0)))[0] / (2.0 * a)
+    s = a + q
+    return s, q - (s - a)
 
 
 PI = (3.141592653589793, 1.2246467991473532e-16)
@@ -161,16 +188,66 @@ def poly_mul(p, q):
 
 
 def horner(coeffs, z):
-    """Evaluate a polynomial at one complex point.
+    """Evaluate a polynomial at one double point z, on Python floats.
 
     ``coeffs`` is a pair of ascending coefficient sequences (hi, lo).
+    Each step ``acc = add(cmul(acc, dd(z)), c)`` is written out on the
+    real and imaginary parts, one IEEE operation per step in the order
+    of ``mul`` and ``add``: z is split once and the accumulator once per
+    step, and the products with z's zero low part are kept.
     """
     hi, lo = coeffs
-    z = dd(z)
-    acc = (0j, 0j)
+    z = complex(z)
+    x, y = z.real, z.imag
+    c = _SPLIT * x
+    xh = c - (c - x)
+    xt = x - xh
+    c = _SPLIT * y
+    yh = c - (c - y)
+    yt = y - yh
+    a = a_lo = b = b_lo = 0.0           # acc = (a + ib, a_lo + ib_lo)
     for k in reversed(range(len(hi))):
-        acc = add(cmul(acc, z), (hi[k], lo[k]))
-    return acc
+        c = _SPLIT * a
+        ah = c - (c - a)
+        at = a - ah
+        c = _SPLIT * b
+        bh = c - (c - b)
+        bt = b - bh
+        # the four calls of mul, (p, e) each; b*y is negated for sub
+        p1 = a * x
+        e1 = ((ah * xh - p1) + ah * xt + at * xh) + at * xt
+        e1 += a * 0.0 + a_lo * x
+        s = p1 + e1; e1 = e1 - (s - p1); p1 = s
+        p2 = b * y
+        e2 = ((bh * yh - p2) + bh * yt + bt * yh) + bt * yt
+        e2 += b * 0.0 + b_lo * y
+        s = p2 + e2; e2 = -(e2 - (s - p2)); p2 = -s
+        p3 = a * y
+        e3 = ((ah * yh - p3) + ah * yt + at * yh) + at * yt
+        e3 += a * 0.0 + a_lo * y
+        s = p3 + e3; e3 = e3 - (s - p3); p3 = s
+        p4 = b * x
+        e4 = ((bh * xh - p4) + bh * xt + bt * xh) + bt * xt
+        e4 += b * 0.0 + b_lo * x
+        s = p4 + e4; e4 = e4 - (s - p4); p4 = s
+        # the four calls of add, three lines each: re = (p1 + p2) + c.real
+        # (p2 negated), im = (p3 + p4) + c.imag
+        s = p1 + p2; v = s - p1; u = (p1 - (s - v)) + (p2 - v)
+        t = e1 + e2; v = t - e1; w = (e1 - (t - v)) + (e2 - v)
+        u += t; r = s + u; u = u - (r - s); u += w; a = r + u; a_lo = u - (a - r)
+        s = p3 + p4; v = s - p3; u = (p3 - (s - v)) + (p4 - v)
+        t = e3 + e4; v = t - e3; w = (e3 - (t - v)) + (e4 - v)
+        u += t; r = s + u; u = u - (r - s); u += w; b = r + u; b_lo = u - (b - r)
+        c, c_lo = hi[k], lo[k]
+        p, e = c.real, c_lo.real
+        s = a + p; v = s - a; u = (a - (s - v)) + (p - v)
+        t = a_lo + e; v = t - a_lo; w = (a_lo - (t - v)) + (e - v)
+        u += t; r = s + u; u = u - (r - s); u += w; a = r + u; a_lo = u - (a - r)
+        p, e = c.imag, c_lo.imag
+        s = b + p; v = s - b; u = (b - (s - v)) + (p - v)
+        t = b_lo + e; v = t - b_lo; w = (b_lo - (t - v)) + (e - v)
+        u += t; r = s + u; u = u - (r - s); u += w; b = r + u; b_lo = u - (b - r)
+    return complex(a, b), complex(a_lo, b_lo)
 
 
 def horner_stack(coeffs, z):
@@ -179,30 +256,75 @@ def horner_stack(coeffs, z):
     ``coeffs`` is a pair (hi, lo) of complex (P, d + 1) arrays, ascending;
     zero leading coefficients pad a shorter polynomial and move no bit.
     Returns the (hi, lo) pair of complex arrays of shape (P,) + z.shape.
-    The parts (re, im) run as one real (P, 2, 1, m) array times
-    ((zr, zi), (zi, zr)), so each step of ``cmul`` is one numpy call over
-    its four partial products.  z is split once, and its zero low part
-    is dropped from the products: the error of ``_two_prod`` is never
+    The accumulator's parts a = re, im run as one real (2, 1, P, m)
+    array times y = ((zr, zi), (zi, zr)), so each step of ``cmul`` is
+    one numpy call over its four partial products, and a double-double's
+    hi and lo lie on a leading axis of one array, so the two two-sums of
+    each ``add`` are one set of calls, and every step writes into buffers
+    allocated once per call.  z is split once, and its zero low part is
+    dropped from the products: the error of a Dekker product is never
     -0.0, so adding +-0 to it moves no bit.
     """
     z = np.asarray(z, dtype=complex)
-    y = np.stack([z.real, z.imag, z.imag, z.real]).reshape(2, 2, -1)
-    yh, yl = _split(y)
-    sign = np.array([[-1.0], [1.0]])       # re*zr - im*zi, re*zi + im*zr
-    # one (P, 2, 1) block of real and imaginary parts per power, descending
-    hi, lo = (np.moveaxis(np.stack([c.real, c.imag], axis=1), 2, 0)[::-1, ..., None]
-              for c in coeffs)
-    acc = np.zeros((2,) + hi.shape[1:3] + y.shape[2:])
-    for c in zip(hi, lo):
-        x_hi, x_lo = acc[0][:, :, None], acc[1][:, :, None]
-        p = x_hi * y
-        xh, xl = _split(x_hi)
-        e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-        e += x_lo * y
-        p, e = _quick_sum(p, e)
-        acc = add(add((p[:, 0], e[:, 0]), (sign * p[:, 1], sign * e[:, 1])), c)
-    out = _join((acc[0][:, 0], acc[1][:, 0]), (acc[0][:, 1], acc[1][:, 1]))
-    return tuple(part.reshape(hi.shape[1:2] + z.shape) for part in out)
+    zr, zi = z.real.ravel(), z.imag.ravel()
+    cs = np.stack([np.stack([c.real, c.imag]) for c in coeffs])     # (hi|lo, re|im, P, d + 1)
+    P, m = cs.shape[2], zr.size
+    cs = np.moveaxis(cs, 3, 0)[::-1, ..., None]     # one (hi|lo, re|im, P, 1) block per power
+    y = np.empty((2, 2, P, m))              # [a, b]: the factor of part a in part b
+    y[0, 0] = y[1, 1] = zr
+    y[0, 1] = y[1, 0] = zi
+    ys = np.stack(_split(y))                # [j]: head|tail of y
+    acc = np.zeros((2, 2, 1, P, m))         # [hi|lo, a]
+    prod = np.empty((2, 2, 2, P, m))        # [hi|lo, a, b]: acc * y, so (p, x_lo * y)
+    xs = np.empty((2, 2, 1, P, m))          # [i]: head|tail of acc's hi part
+    q = np.empty((2, 2, 2, 2, P, m))        # [i, j]: xs[i] * ys[j]
+    qs = np.empty((2, 2, 2, P, m))          # [a, hi|lo, b]: the products in double-double
+    mid = np.empty((2, 2, P, m))            # [hi|lo, b]: cmul(acc, z), before c is added
+    s, v, u = np.empty((3, 2, 2, P, m))
+    (s1, t1), (s2, t2), v1 = s, u, v[0]
+    p, x_lo_y = prod
+    acc_hi, (x_head, x_tail), xs_ = acc[0], xs, xs[:, None]
+    (e, xh_yl), (xl_yh, xl_yl) = q
+    qs_p, qs_e, acc_out = qs[:, 0], qs[:, 1], acc[:, :, 0]
+    neg = qs[1, :, 0]                       # im * zi: re * zr - im * zi
+
+    def add_into(x, y, out):
+        # add on stacked (hi, lo) arrays
+        np.add(x, y, out=s)
+        np.subtract(s, x, out=v)
+        np.subtract(s, v, out=u)
+        np.subtract(x, u, out=u)
+        np.subtract(y, v, out=v)
+        np.add(u, v, out=u)
+        np.add(s2, t1, out=s2)
+        np.add(s1, s2, out=t1)
+        np.subtract(t1, s1, out=v1)
+        np.subtract(s2, v1, out=s2)
+        np.add(s2, t2, out=s2)
+        np.add(t1, s2, out=out[0])
+        np.subtract(out[0], t1, out=out[1])
+        np.subtract(s2, out[1], out=out[1])
+
+    for c in cs:
+        np.multiply(acc, y, out=prod)
+        np.multiply(acc_hi, _SPLIT, out=x_tail)
+        np.subtract(x_tail, acc_hi, out=x_head)
+        np.subtract(x_tail, x_head, out=x_head)
+        np.subtract(acc_hi, x_head, out=x_tail)
+        np.multiply(xs_, ys, out=q)
+        e -= p
+        e += xh_yl
+        e += xl_yh
+        e += xl_yl
+        e += x_lo_y
+        np.add(p, e, out=qs_p)
+        np.subtract(qs_p, p, out=qs_e)
+        np.subtract(e, qs_e, out=qs_e)
+        np.negative(neg, out=neg)
+        add_into(qs[0], qs[1], mid)
+        add_into(mid, c, acc_out)
+    out = _join((acc[0, 0, 0], acc[1, 0, 0]), (acc[0, 1, 0], acc[1, 1, 0]))
+    return tuple(part.reshape((P,) + z.shape) for part in out)
 
 
 def cholesky_solve_hermitian(A, rhs, band: int):
@@ -211,40 +333,85 @@ def cholesky_solve_hermitian(A, rhs, band: int):
     ``A`` is a pair (hi, lo) of complex square arrays, ``rhs`` a pair of
     vectors; entries more than ``band`` off the diagonal are skipped.
     Returns the solution pair.  Raises ArithmeticError on a nonpositive
-    pivot.  The loops run on Python scalars, faster here than numpy's.
+    pivot.  The loops run on Python floats, faster here than numpy's:
+    every complex double-double is held as its parts (re, im), no complex
+    number is formed until the solution is returned, and each step
+    sub(acc, cmul(x, y)) is written out.  Only the band of A is read.
     """
-    A_hi, A_lo = A[0].tolist(), A[1].tolist()
-    rhs = list(zip(rhs[0].tolist(), rhs[1].tolist()))
-    m = len(A_hi)
-    L = [[(0j, 0j)] * m for _ in range(m)]
-    diag = [(0.0, 0.0)] * m
+    m = len(A[0])
+    # lower[d][k]: the parts of A[k + d, k]
+    lower = [list(map(_parts, zip(np.diagonal(A[0], -d).tolist(),
+                                  np.diagonal(A[1], -d).tolist())))
+             for d in range(min(band, m - 1) + 1)]
+    L = [[None] * m for _ in range(m)]
+    diag = [None] * m
+
+    def conj(x):
+        re, (im, im_lo) = x
+        return re, (-im, -im_lo)
+
+    def solve_row(acc, terms, d):
+        # (acc - sum of cmul(x, y)) / d part by part; each sub(acc, cmul(x, y))
+        # is four calls of mul and four of add, written out
+        (a, a_lo), (b, b_lo) = acc
+        for ((xr, xr_lo), (xi, xi_lo)), ((yr, yr_lo), (yi, yi_lo)) in terms:
+            c = _SPLIT * xr; xrh = c - (c - xr); xrt = xr - xrh
+            c = _SPLIT * xi; xih = c - (c - xi); xit = xi - xih
+            c = _SPLIT * yr; yrh = c - (c - yr); yrt = yr - yrh
+            c = _SPLIT * yi; yih = c - (c - yi); yit = yi - yih
+            p1 = xr * yr
+            e1 = ((xrh * yrh - p1) + xrh * yrt + xrt * yrh) + xrt * yrt
+            e1 += xr * yr_lo + xr_lo * yr
+            s = p1 + e1; e1 = e1 - (s - p1); p1 = s
+            p2 = xi * yi
+            e2 = ((xih * yih - p2) + xih * yit + xit * yih) + xit * yit
+            e2 += xi * yi_lo + xi_lo * yi
+            s = p2 + e2; e2 = -(e2 - (s - p2)); p2 = -s
+            p3 = xr * yi
+            e3 = ((xrh * yih - p3) + xrh * yit + xrt * yih) + xrt * yit
+            e3 += xr * yi_lo + xr_lo * yi
+            s = p3 + e3; e3 = e3 - (s - p3); p3 = s
+            p4 = xi * yr
+            e4 = ((xih * yrh - p4) + xih * yrt + xit * yrh) + xit * yrt
+            e4 += xi * yr_lo + xi_lo * yr
+            s = p4 + e4; e4 = e4 - (s - p4); p4 = s
+            # re = p1 + p2 and im = p3 + p4, each negated onto acc
+            s = p1 + p2; v = s - p1; u = (p1 - (s - v)) + (p2 - v)
+            t = e1 + e2; v = t - e1; w = (e1 - (t - v)) + (e2 - v)
+            u += t; r = s + u; u = u - (r - s); u += w; q = r + u; e = -(u - (q - r)); p = -q
+            s = a + p; v = s - a; u = (a - (s - v)) + (p - v)
+            t = a_lo + e; v = t - a_lo; w = (a_lo - (t - v)) + (e - v)
+            u += t; r = s + u; u = u - (r - s); u += w; a = r + u; a_lo = u - (a - r)
+            s = p3 + p4; v = s - p3; u = (p3 - (s - v)) + (p4 - v)
+            t = e3 + e4; v = t - e3; w = (e3 - (t - v)) + (e4 - v)
+            u += t; r = s + u; u = u - (r - s); u += w; q = r + u; e = -(u - (q - r)); p = -q
+            s = b + p; v = s - b; u = (b - (s - v)) + (p - v)
+            t = b_lo + e; v = t - b_lo; w = (b_lo - (t - v)) + (e - v)
+            u += t; r = s + u; u = u - (r - s); u += w; b = r + u; b_lo = u - (b - r)
+        return div((a, a_lo), d), div((b, b_lo), d)
+
     for i in range(m):
         first = max(0, i - band)
         for k in range(first, i):
-            acc = A_hi[i][k], A_lo[i][k]
-            for t in range(max(first, k - band), k):
-                acc = sub(acc, cmul(L[i][t], conj(L[k][t])))
-            L[i][k] = _by_parts(div, acc, diag[k])
-        acc_r = A_hi[i][i].real, A_lo[i][i].real
+            L[i][k] = solve_row(lower[i - k][k],
+                                ((L[i][t], conj(L[k][t]))
+                                 for t in range(max(first, k - band), k)), diag[k])
+        acc = lower[0][i][0]
         for t in range(first, i):
-            re, im = _parts(L[i][t])
-            acc_r = sub(acc_r, add(mul(re, re), mul(im, im)))
-        if acc_r[0] <= 0.0:
+            re, im = L[i][t]
+            acc = sub(acc, add(mul(re, re), mul(im, im)))
+        if acc[0] <= 0.0:
             raise ArithmeticError(f"nonpositive Cholesky pivot at row {i}")
-        diag[i] = sqrt(acc_r)
+        diag[i] = sqrt(acc)
 
     # forward then adjoint-backward substitution
-    y = [(0j, 0j)] * m
-    for i in range(m):
-        acc = rhs[i]
-        for t in range(max(0, i - band), i):
-            acc = sub(acc, cmul(L[i][t], y[t]))
-        y[i] = _by_parts(div, acc, diag[i])
-    x = [(0j, 0j)] * m
+    y = [None] * m
+    for i, b in enumerate(zip(rhs[0].tolist(), rhs[1].tolist())):
+        y[i] = solve_row(_parts(b), ((L[i][t], y[t]) for t in range(max(0, i - band), i)),
+                         diag[i])
+    x = [None] * m
     for i in reversed(range(m)):
-        acc = y[i]
-        for t in range(i + 1, min(m, i + band + 1)):
-            acc = sub(acc, cmul(conj(L[t][i]), x[t]))
-        x[i] = _by_parts(div, acc, diag[i])
-    return (np.array([v[0] for v in x], dtype=complex),
-            np.array([v[1] for v in x], dtype=complex))
+        x[i] = solve_row(y[i], ((conj(L[t][i]), x[t])
+                                for t in range(i + 1, min(m, i + band + 1))), diag[i])
+    return tuple(np.array([complex(re[j], im[j]) for re, im in x], dtype=complex)
+                 for j in (0, 1))

@@ -9,10 +9,12 @@ read off the Newton polygon of the coefficients, near the roots' moduli.
 Both moment methods carry moments and coefficients in double-double
 precision (``ddnum``) so that degrees past ~20 keep usable orthogonality
 residuals.  Each Aberth sweep evaluates p and p' in one stacked pass:
-``np.polyval``'s steps in the double stage, ``ddnum.horner_stack`` in
-the double-double one.  The Gram condition number, an SVD, is computed
-when it is first read, except that the quadrature path checks it before
-its solve.
+``np.polyval``'s steps on a complex array whose third row is the
+double stage's rounding bound, and ``ddnum.horner_stack`` in the
+double-double stage.  ``poly_eval`` at one point, the Gram solve's
+Cholesky loops and the sum for h_n run on Python scalars.  The Gram
+condition number, an SVD, is computed when it is first read, except
+that the quadrature path checks it before its solve.
 
 Quadrature moments on a fractional exponent are limited by two counts,
 which each mesh doubling halves: the Gauss-Jacobi radial nodes of the
@@ -484,7 +486,11 @@ def monic_op(moments: MomentMatrix, n: int) -> MonicPolynomial:
     except ArithmeticError as exc:
         raise IllConditioned(str(exc), math.inf) from exc
     coeffs = (np.append(x[0], 1.0), np.append(x[1], 0.0))
-    h = float(_column_dots(coeffs, moments, slice(n, n + 1))[0].real)
+    # h_n = sum_k b_k <z^k, z^n>: on one column Python scalars beat numpy's
+    acc = (0j, 0j)
+    for b, b_lo, g, g_lo in zip(*(v.tolist() for v in (*coeffs, hi[:n + 1, n], lo[:n + 1, n]))):
+        acc = dd.add(acc, dd.cmul((b, b_lo), (g, g_lo)))
+    h = dd.value(acc).real
     if not (h > 0):
         raise IllConditioned(f"nonpositive norm h_n = {h}", _scaled_cond(gram))
     return MonicPolynomial(n, coeffs[0], h, coeffs[1], gram)
@@ -498,21 +504,15 @@ def poly_eval(poly: MonicPolynomial, z):
     return dd.value(dd.horner((poly.coeffs.tolist(), poly.coeffs_lo.tolist()), complex(z)))
 
 
-def _column_dots(coeffs, moments: MomentMatrix, cols: slice) -> np.ndarray:
-    """sum_k b_k <z^k, z^m> in double-double for each column m, rounded to complex."""
-    m = len(coeffs[0])
-    terms = dd.cmul((coeffs[0][:, None], coeffs[1][:, None]),
-                    (moments.entries[:m, cols], moments.entries_lo[:m, cols]))
-    acc = (0j, 0j)
-    for k in range(m):
-        acc = dd.add(acc, (terms[0][k], terms[1][k]))
-    return dd.value(acc)
-
-
 def orthogonality_residuals(moments: MomentMatrix, poly: MonicPolynomial) -> np.ndarray:
     """Normalized |<p_n, z^m>| / (sqrt(h_n) sqrt(<z^m,z^m>)) for m < n."""
     n = poly.degree
-    v = _column_dots((poly.coeffs, poly.coeffs_lo), moments, slice(0, n))
+    terms = dd.cmul((poly.coeffs[:, None], poly.coeffs_lo[:, None]),
+                    (moments.entries[:n + 1, :n], moments.entries_lo[:n + 1, :n]))
+    acc = (0j, 0j)
+    for k in range(n + 1):
+        acc = dd.add(acc, (terms[0][k], terms[1][k]))
+    v = dd.value(acc)
     norms = dd.value((moments.entries.diagonal(), moments.entries_lo.diagonal()))[:n].real
     # np.hypot rounds like abs() of a Python complex; np.abs does not
     return np.hypot(v.real, v.imag) / np.sqrt(poly.h_n * norms)
@@ -546,18 +546,26 @@ def _aberth(z, newton, done):
 def _double_newton(b):
     """z -> (p(z), p'(z), sum |b_k| |z|^k) for ascending coefficients b.
 
-    One loop of np.polyval's steps y = y*z + c runs p and p' stacked,
-    p' padded by a zero leading coefficient, which moves no bit.
+    One loop of np.polyval's steps y = y*x + c runs the three as rows of
+    one complex array: p' is padded by a zero leading coefficient, and
+    the bound takes |b_k| and |z| as complex numbers with zero imaginary
+    part, whose product and sum round the real part as the real ones do
+    while it is finite.  Neither moves a bit.
     """
-    desc = np.stack([b[::-1], np.append(0.0, (b[1:] * np.arange(1, len(b)))[::-1])])
-    terms = list(zip(desc.T[:, :, None], np.abs(b[::-1])))
+    desc = b[::-1]
+    # np.abs of a complex array can round differently on a contiguous and
+    # on a strided one; the bound takes |b_k| from the reversed view, as
+    # np.polyval(np.abs(b[::-1]), |z|) does
+    terms = np.stack([desc, np.append(0.0, (b[1:] * np.arange(1, len(b)))[::-1]),
+                      np.abs(desc)]).T[:, :, None]
 
     def newton(z):
-        y, bound, r = np.zeros((2, z.size), dtype=complex), np.zeros(z.size), np.abs(z)
-        for c, m in terms:
-            y = y * z + c
-            bound = bound * r + m
-        return y[0], y[1], bound
+        x = np.stack([z, z, np.abs(z)])
+        y = np.zeros_like(x)
+        for c in terms:
+            y *= x
+            y += c
+        return y[0], y[1], y[2].real
     return newton
 
 

@@ -12,7 +12,11 @@ inputs: a seeded stream of generic configurations, and the Fujiwara
 circle that ``oracle.roots`` once started from, kept to show what its
 start changes.  The regional terms of the model, which it forms as
 logarithms, are rebuilt here as products of the single branched powers,
-and its cut test is checked against raw ray geometry.
+and its cut test is checked against raw ray geometry.  What ``ddnum``
+writes out on Python floats is kept here composed, as its bit reference:
+add, mul and div from two-sums, quick-sums and Dekker's product, and the
+one-point Horner step and the banded Cholesky solve from ddnum's complex
+operations.
 """
 
 import cmath
@@ -22,6 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import binom, hyp2f1
 
+from mszego import ddnum as dd
 from mszego.core import Configuration, validate_config
 from mszego.szego import solve_structure
 
@@ -303,3 +308,110 @@ def real_point_moments_mp(a, c, n, N):
                               * T[s][u] for s in range(p + 1) for u in range(q + 1))
                 M[p, q] = M[q, p] = float(2 * mp.pi * mp.exp(-x) * acc)
     return M
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _quick_sum(a, b):
+    s = a + b
+    return s, b - (s - a)
+
+
+def _split(a):
+    ca = 134217729.0 * a          # 2**27 + 1
+    ahi = ca - (ca - a)
+    return ahi, a - ahi
+
+
+def _two_prod(a, b):
+    p = a * b
+    ahi, alo = _split(a)
+    bhi, blo = _split(b)
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def composed_add(x, y):
+    s1, s2 = _two_sum(x[0], y[0])
+    t1, t2 = _two_sum(x[1], y[1])
+    s2 += t1
+    s1, s2 = _quick_sum(s1, s2)
+    s2 += t2
+    return _quick_sum(s1, s2)
+
+
+def composed_mul(x, y):
+    p1, p2 = _two_prod(x[0], y[0])
+    p2 += x[0] * y[1] + x[1] * y[0]
+    return _quick_sum(p1, p2)
+
+
+def composed_div(x, y):
+    def sub(x, y):
+        return composed_add(x, (-y[0], -y[1]))
+
+    q1 = x[0] / y[0]
+    r = sub(x, composed_mul((q1, 0.0), y))
+    q2 = r[0] / y[0]
+    r = sub(r, composed_mul((q2, 0.0), y))
+    q3 = r[0] / y[0]
+    return composed_add(_quick_sum(q1, q2), (q3, 0.0))
+
+
+def composed_horner(coeffs, z):
+    """``ddnum.horner`` as the composition it writes out: acc = add(cmul(acc,
+    dd(z)), c) from the highest power down, on Python scalars."""
+    hi, lo = coeffs
+    z = dd.dd(z)
+    acc = (0j, 0j)
+    for k in reversed(range(len(hi))):
+        acc = dd.add(dd.cmul(acc, z), (hi[k], lo[k]))
+    return acc
+
+
+def _div_parts(x, d):
+    """A complex double-double over a real one, part by part."""
+    re = dd.div((x[0].real, x[1].real), d)
+    im = dd.div((x[0].imag, x[1].imag), d)
+    return complex(re[0], im[0]), complex(re[1], im[1])
+
+
+def composed_cholesky_solve(A, rhs, band):
+    """``ddnum.cholesky_solve_hermitian`` as ddnum's complex double-double
+    operations on the whole (hi, lo) matrix: sub, cmul, conj and div by parts."""
+    A_hi, A_lo = A[0].tolist(), A[1].tolist()
+    rhs = list(zip(rhs[0].tolist(), rhs[1].tolist()))
+    m = len(A_hi)
+    L = [[(0j, 0j)] * m for _ in range(m)]
+    diag = [(0.0, 0.0)] * m
+    for i in range(m):
+        first = max(0, i - band)
+        for k in range(first, i):
+            acc = A_hi[i][k], A_lo[i][k]
+            for t in range(max(first, k - band), k):
+                acc = dd.sub(acc, dd.cmul(L[i][t], dd.conj(L[k][t])))
+            L[i][k] = _div_parts(acc, diag[k])
+        acc_r = A_hi[i][i].real, A_lo[i][i].real
+        for t in range(first, i):
+            re, im = (L[i][t][0].real, L[i][t][1].real), (L[i][t][0].imag, L[i][t][1].imag)
+            acc_r = dd.sub(acc_r, dd.add(dd.mul(re, re), dd.mul(im, im)))
+        if acc_r[0] <= 0.0:
+            raise ArithmeticError(f"nonpositive Cholesky pivot at row {i}")
+        diag[i] = dd.sqrt(acc_r)
+    y = [(0j, 0j)] * m
+    for i in range(m):
+        acc = rhs[i]
+        for t in range(max(0, i - band), i):
+            acc = dd.sub(acc, dd.cmul(L[i][t], y[t]))
+        y[i] = _div_parts(acc, diag[i])
+    x = [(0j, 0j)] * m
+    for i in reversed(range(m)):
+        acc = y[i]
+        for t in range(i + 1, min(m, i + band + 1)):
+            acc = dd.sub(acc, dd.cmul(dd.conj(L[t][i]), x[t]))
+        x[i] = _div_parts(acc, diag[i])
+    return (np.array([v[0] for v in x], dtype=complex),
+            np.array([v[1] for v in x], dtype=complex))

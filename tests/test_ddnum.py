@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from mszego import ddnum as dd
 
+from support import composed_add, composed_div, composed_horner, composed_mul
+
 # products of subnormals underflow the Dekker split; the oracle never
 # leaves the normal range, so neither does the property domain
 finite = st.floats(min_value=-1e12, max_value=1e12,
@@ -116,6 +118,29 @@ def test_array_add_mul_match_scalar_bits(rows):
         assert _bits(got[1]) == _bits([w[1] for w in want])
 
 
+@given(part, part, part, part)
+def test_written_out_ops_match_composed_bits(a, b, c, d):
+    # add, mul and div against their two-sum, quick-sum and Dekker-product
+    # compositions, on parts that keep |lo| <= ulp(hi)
+    x, y = (a, math.ulp(a) * 0.25 * math.tanh(b)), (c, math.ulp(c) * 0.25 * math.tanh(d))
+    pairs = [(dd.add, composed_add), (dd.mul, composed_mul)]
+    if c != 0.0:
+        pairs.append((dd.div, composed_div))
+    for op, ref in pairs:
+        assert _bits(op(x, y)) == _bits(ref(x, y))
+
+
+@given(st.lists(st.tuples(part, part, part, part), min_size=1, max_size=8),
+       st.tuples(part, part))
+def test_scalar_horner_matches_composed_bits(rows, zparts):
+    # the written-out step against add(cmul(acc, dd(z)), c); a zero part
+    # of z, drawn often, puts the point on an axis
+    coeffs = ([complex(a, b) for a, b, _, _ in rows],
+              [complex(1e-17 * c, 1e-17 * d) for _, _, c, d in rows])
+    z = complex(*zparts)
+    assert _bits(dd.horner(coeffs, z)) == _bits(composed_horner(coeffs, z))
+
+
 @given(st.lists(st.tuples(part, part, part, part), min_size=1, max_size=6),
        st.lists(st.tuples(part, part), min_size=1, max_size=6))
 def test_array_complex_product_and_horner_match_scalar_bits(rows, zs):
@@ -127,7 +152,8 @@ def test_array_complex_product_and_horner_match_scalar_bits(rows, zs):
     assert _bits(got[0]) == _bits([w[0] for w in want])
     assert _bits(got[1]) == _bits([w[1] for w in want])
     # several polynomials in one pass: p, p reversed and p' padded by a zero
-    # leading coefficient, each against scalar horner on its own coefficients
+    # leading coefficient, each against the scalar kernel and its composed
+    # reference on its own coefficients
     deriv = [dd.scale(c, dd.dd(float(k))) for k, c in enumerate(coeffs)][1:]
     polys = [coeffs, coeffs[::-1], deriv]
     stacked = [poly + [(0j, 0j)] * (len(coeffs) - len(poly)) for poly in polys]
@@ -135,6 +161,7 @@ def test_array_complex_product_and_horner_match_scalar_bits(rows, zs):
                                 for i in (0, 1)), np.array(points))
     for k, poly in enumerate(polys):
         scalar_coeffs = ([c[0] for c in poly], [c[1] for c in poly])
-        want = [dd.horner(scalar_coeffs, z) for z in points]
-        assert _bits(got[0][k]) == _bits([w[0] for w in want])
-        assert _bits(got[1][k]) == _bits([w[1] for w in want])
+        for horner in (dd.horner, composed_horner):
+            want = [horner(scalar_coeffs, z) for z in points]
+            assert _bits(got[0][k]) == _bits([w[0] for w in want])
+            assert _bits(got[1][k]) == _bits([w[1] for w in want])

@@ -19,8 +19,8 @@ from mszego.oracle import (IllConditioned, MomentMatrix, NoConvergence,
 from mszego.szego import solve_structure, trace_curve
 
 from conftest import A1
-from support import (fujiwara_start, random_generic_configs, real_point_moments,
-                     real_point_moments_mp)
+from support import (composed_cholesky_solve, fujiwara_start, random_generic_configs,
+                     real_point_moments, real_point_moments_mp)
 
 
 @pytest.fixture(scope="module")
@@ -514,6 +514,35 @@ def test_roots_refuse_at_dd_coefficient_floor():
     poly = monic_op(exact_moments(cfg), 128)
     with pytest.raises(NoConvergence):
         roots(poly)
+
+
+def _gram_system(moments, n):
+    # the banded system monic_op solves at degree n
+    hi, lo = moments.entries, moments.entries_lo
+    return ((hi[:n, :n].T, lo[:n, :n].T),
+            dd.scale((hi[n, :n], lo[n, :n]), dd.dd(-1.0)), moments.band)
+
+
+@pytest.mark.parametrize("name", ["fig4_16", "fig4_64", "fig4_96", "cfg_level3", "frac_quad"])
+def test_cholesky_matches_composed_bits(name, request):
+    # the written-out solve against its composition of double-double
+    # operations: FIG4 at band 2, the three-point chain at band 3, and the
+    # dense quadrature Gram block of one fractional point
+    if name.startswith("fig4"):
+        n = int(name[5:])
+        moments = exact_moments(validate_config(Configuration(
+            a=(0.5 - 0.5j, -0.25 - 0.5j), c=(1.0, 1.0), n=n, N=None)))
+    elif name == "frac_quad":
+        n = 8
+        moments = quad_moments(validate_config(Configuration(a=(0.6,), c=(0.5,), n=n, N=None)))
+    else:
+        cfg = request.getfixturevalue(name)
+        n, moments = cfg.n, exact_moments(cfg)
+    A, rhs, band = _gram_system(moments, n)
+    got = dd.cholesky_solve_hermitian(A, rhs, band)
+    want = composed_cholesky_solve(A, rhs, band)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_double_stage_matches_polyval_bits():

@@ -119,6 +119,10 @@ def commands(out: str, cfgs: dict[str, str]):
     for key in ("pair_n96", "pair_n128", "single_n64", "level3_n64"):
         name = f"oracle_{key}"
         yield name, ["oracle", cfgs[key], "--out", path(name + ".csv")]
+    # the pair at n = N = 96 again, through poly_eval at the sample points,
+    # the Cholesky solve and roots, whose double-double stage takes 12 sweeps
+    name = "compare_pair_n96"
+    yield name, ["compare", cfgs["pair_n96"], "--out", path(name + ".csv")]
     for key, degree in (("branchy", 3), ("pair", 6), ("pair_n40", 40), ("close_pair", 8),
                         ("near_origin", 24)):
         name = f"oracle_quad_{key}_{degree}"
