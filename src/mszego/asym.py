@@ -175,8 +175,11 @@ class AsymptoticModel:
         k = self.structure.arrow(j)
         N = self.N
         if k == 0:
-            # -N(conj(a_j) z - log z + log a_j - |a_j|^2), log branch local to a_j
-            return -N * (aj.conjugate() * z - abs(aj) ** 2 - cmath.log(z / aj))
+            # -N(conj(a_j) z - log z + log a_j - |a_j|^2) + c_j log(z / a_j), log
+            # branch local to a_j; the O(1) term puts the zeros at 2 pi i k
+            log_z = cmath.log(z / aj)
+            cj = self.config.c[j - 1]
+            return -N * (aj.conjugate() * z - abs(aj) ** 2 - log_z) + cj * log_z
         ak = self.config.a[k - 1]
         return -N * (aj.conjugate() - ak.conjugate()) * (z - aj)
 
@@ -191,7 +194,7 @@ class AsymptoticModel:
         z = aj + zeta * aj / (N * (1.0 - abs(aj) ** 2))
         for _ in range(60):
             f = self.zeta_map(z, j) - zeta
-            df = -N * (aj.conjugate() - 1.0 / z)
+            df = -N * (aj.conjugate() - 1.0 / z) + self.config.c[j - 1] / z
             step = f / df
             z = z - step
             if abs(step) < 1e-14 * (1.0 + abs(z)):

@@ -46,16 +46,13 @@ out of steps but stays within 1e-13.
 
 Zeros of ``E_c`` are counted by the argument principle on the boundary
 of the box (Delves & Lyness 1967).  Far out ``f_c(z) ~ 1/(Gamma(c) z)``,
-so the zeros sit near the ladder
-``s_k = 2 pi i k + (c - 1) log(2 pi i k) - log Gamma(c)`` (exactly
-``2 pi i k`` at c = 1), and Newton runs from each ``s_k`` and its conjugate
-near the box.  When it certifies as many zeros as the box winds, the
-search ends.  Otherwise (c < 0, whose real zero no seed reaches; large c,
-whose zeros leave the ladder; boxes the seeds miss) the box is bisected
-by winding counts: as soon as a rectangle winds once, Newton runs from
-its centre; the zero is taken if Newton settles inside the rectangle, and
-the rectangle is halved otherwise.  A rectangle that still fails under
-0.05 on a side ends the search.
+so the zeros sit near the roots of the ladder equation
+``z - (c - 1) log z + log Gamma(c) = 2 pi i k`` (exactly ``2 pi i k`` at
+c = 1).  Newton solves it for each k, and Newton on ``E_c`` polishes each
+root and its conjugate near the box; for -1 < c < 0 bisection on the real
+axis adds the one negative real zero.  These must certify as many zeros
+as the box winds, or the search raises.  The exponent is the paper's,
+c > -1, or a nonpositive integer -m, where ``E_c`` is ``z^m e^z``.
 """
 
 from __future__ import annotations
@@ -65,6 +62,8 @@ import functools
 import math
 
 import numpy as np
+
+from .core import BadExponent
 
 __all__ = [
     "OnNegativeAxis",
@@ -161,15 +160,12 @@ class FcEvaluator:
             return self._series(self._rgammas, zeta)
         return cmath.exp(zeta) * zeta ** (-self.c) - self._fraction(zeta)
 
-    def entire_deriv(self, zeta: complex) -> complex:
-        """E_c'(zeta), from ``zeta E_c' = (zeta - c) E_c + 1/Gamma(c)``.
-
-        At zeta = 0 it is ``1/Gamma(c + 2)``.
-        """
-        return self.entire_with_deriv(zeta)[1]
-
     def entire_with_deriv(self, zeta: complex) -> tuple[complex, complex]:
-        """E_c(zeta) and E_c'(zeta), both from one evaluation of E_c."""
+        """E_c(zeta) and E_c'(zeta), both from one evaluation of E_c.
+
+        ``zeta E_c' = (zeta - c) E_c + 1/Gamma(c)``; at zeta = 0,
+        ``E_c' = 1/Gamma(c + 2)``.
+        """
         zeta = complex(zeta)
         e = self.entire(zeta)
         if zeta == 0:
@@ -315,115 +311,97 @@ def _newton(ev: FcEvaluator, z: complex, box, tol: float) -> complex | None:
 
 
 def _ladder_zeros(ev: FcEvaluator, box, count: int, tol: float) -> list[complex]:
-    """The distinct zeros Newton certifies in ``box`` from the ladder's seeds.
+    """The distinct zeros Newton certifies in ``box`` from the ladder's roots.
 
     Far out ``f_c(z) ~ 1/(Gamma(c) z)``, so the zeros solve
-    ``z = 2 pi i k + (c - 1) log z - log Gamma(c)``.  Newton runs from
-    ``s_k = 2 pi i k + (c - 1) log(2 pi i k) - log Gamma(c)`` and from its
-    conjugate (E_c is real on the real axis), for every k >= 1 whose seed
-    lies within one ladder spacing of the box, and stops at ``count`` zeros.
+    ``z - (c - 1) log z + log Gamma(c) = 2 pi i k``.  For every k >= 1 Newton
+    solves that equation from ``s_k = 2 pi i k + (c - 1) log(2 pi i k) -
+    log Gamma(c)``, then from ``c + 2 pi i k``, then from ``c + 2 pi k (1 + i)``;
+    a start counts once the residual is below 1e-9.  Each root within one
+    ladder spacing of the box, and its conjugate (E_c is real on the real
+    axis), is polished on E_c by ``_newton``.  For -1 < c < 0 the one negative
+    real zero comes first, by bisection on the box's stretch of the real
+    axis, where E_c is real and ``E_c(0) = 1/Gamma(c + 1) > 0``.  The search
+    stops at ``count`` zeros.
     """
     c = ev.c
     x0, x1, y0, y1 = box
+    zeros: list[complex] = []
+
+    def take(z):
+        if z is not None and all(abs(z - w) > tol * (1.0 + abs(z)) for w in zeros):
+            zeros.append(z)
+        return len(zeros) == count
+
+    if c < 0 and y0 <= 0.0 <= y1 and x0 < 0.0:
+        lo, hi = x0, min(x1, 0.0)
+        if ev.entire(lo).real < 0.0 < ev.entire(hi).real:
+            mid = 0.5 * (lo + hi)
+            while hi - lo > tol * (1.0 + abs(lo)) and lo < mid < hi:
+                if ev.entire(mid).real < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                mid = 0.5 * (lo + hi)
+            if take(_newton(ev, complex(mid), box, tol)):
+                return zeros
     # log Gamma(c) takes the phase pi where Gamma(c) < 0
     log_gamma = complex(math.lgamma(c), math.pi if c < 0 and math.floor(c) % 2 else 0.0)
     spacing = 2.0 * math.pi
-    # Im s_k lies within (|c - 1|/2 + 1) pi of 2 pi k
-    reach = max(abs(y0), abs(y1)) + spacing + (0.5 * abs(c - 1.0) + 1.0) * math.pi
-    zeros: list[complex] = []
+    # Im z lies within (|c - 1| + 1) pi of 2 pi k on the ladder
+    reach = max(abs(y0), abs(y1)) + spacing + (abs(c - 1.0) + 1.0) * math.pi
     for k in range(1, int(reach / spacing) + 1):
-        seed = complex(0.0, spacing * k)
-        seed += (c - 1.0) * cmath.log(seed) - log_gamma
-        for s in (seed, seed.conjugate()):
+        root = _ladder_root(c, log_gamma, k)
+        if root is None:
+            continue
+        for s in (root, root.conjugate()):
             dx = max(x0 - s.real, 0.0, s.real - x1)
             dy = max(y0 - s.imag, 0.0, s.imag - y1)
-            if math.hypot(dx, dy) > spacing:
-                continue
-            z = _newton(ev, s, box, tol)
-            if z is not None and all(abs(z - w) > tol * (1.0 + abs(z)) for w in zeros):
-                zeros.append(z)
-                if len(zeros) == count:
-                    return zeros
+            if math.hypot(dx, dy) <= spacing and take(_newton(ev, s, box, tol)):
+                return zeros
     return zeros
 
 
-def _descent_zeros(ev: FcEvaluator, box, count: int, tol: float) -> list[complex]:
-    """The ``count`` zeros in ``box``, isolated by bisection on winding counts.
-
-    A box that winds once is polished at once: Newton from its centre is
-    taken if it settles inside the box.  Otherwise the box is halved again;
-    one that still fails under 0.05 on a side raises ContourThroughZero, as
-    does a total that differs from ``count``.
-    """
-    zeros: list[complex] = []
-
-    def descend(bx0, bx1, by0, by1, count, depth):
-        if count == 0:
-            return
-        if count == 1:
-            z = _newton(ev, complex(0.5 * (bx0 + bx1), 0.5 * (by0 + by1)),
-                        (bx0, bx1, by0, by1), tol)
-            if z is not None:
-                zeros.append(z)
-                return
-            if max(bx1 - bx0, by1 - by0) < 0.05:
-                raise ContourThroughZero(
-                    f"Newton polish failed in the box {(bx0, bx1, by0, by1)}; "
-                    "jitter the box")
-        if depth > 60:
-            raise ContourThroughZero("subdivision failed to isolate a zero")
-        # split the longer side, jittering the cut off any zero
-        split_x = bx1 - bx0 >= by1 - by0
-        for frac in (0.5, 0.53, 0.47, 0.57):
-            if split_x:
-                xm = bx0 + frac * (bx1 - bx0)
-                halves = ((bx0, xm, by0, by1), (xm, bx1, by0, by1))
-            else:
-                ym = by0 + frac * (by1 - by0)
-                halves = ((bx0, bx1, by0, ym), (bx0, bx1, ym, by1))
-            try:
-                w1, w2 = (_boundary_winding(ev, *h) for h in halves)
-            except ContourThroughZero:
-                continue
-            if w1 + w2 == count:
-                descend(*halves[0], w1, depth + 1)
-                descend(*halves[1], w2, depth + 1)
-                return
-        raise ContourThroughZero("could not split the box cleanly; jitter it")
-
-    descend(*box, count, 0)
-    if len(zeros) != count:
-        raise ContourThroughZero(
-            f"found {len(zeros)} zeros but the box winding is {count}")
-    return zeros
+def _ladder_root(c: float, log_gamma: complex, k: int) -> complex | None:
+    """A root of ``z - (c - 1) log z + log Gamma(c) = 2 pi i k``, or None."""
+    rung = complex(0.0, 2.0 * math.pi * k)
+    for z in (rung + ((c - 1.0) * cmath.log(rung) - log_gamma),
+              c + rung, c + 2.0 * math.pi * k * (1 + 1j)):
+        for _ in range(50):
+            g = z - (c - 1.0) * cmath.log(z) + log_gamma - rung
+            if abs(g) < 1e-9:
+                return z
+            z -= g / (1.0 - (c - 1.0) / z)
+    return None
 
 
 def zeros_E_c(c: float, box, tol: float = 1e-10) -> list[complex]:
     """All zeros of E_c inside the rectangle ``box = (x0, x1, y0, y1)``.
 
-    The winding number of the whole box counts them.  Newton then runs from
-    the seeds of the ``2 pi i k`` ladder (see ``_ladder_zeros``); when the
-    distinct zeros it certifies inside the box match the count, they are
-    the answer.  Otherwise the box is searched by bisection on winding
-    counts (``_descent_zeros``): this serves c < 0, whose real zero no seed
-    reaches, large c, whose zeros leave the ladder, and any box the seeds
-    miss.  Every zero passes the forward-error guard
+    The winding number of the whole box counts them, and ``_ladder_zeros``
+    finds them: Newton on E_c from the roots of the ladder equation, and for
+    c < 0 the one real zero.  If fewer zeros are certified than the box
+    winds, ContourThroughZero names the box and both counts; a short list is
+    never returned.  Every zero passes the forward-error guard
     ``|E_c(z)| <= 1e3 tol (1 + |z|) |E_c'(z)|``.  The zeros come sorted by
     real part rounded to 9 places, then by imaginary part, so that a
     last-bit move of a real part does not reorder them.
 
-    At a nonpositive integer c = -m, ``E_c(z) = z^m e^z``: its one zero,
-    0 of multiplicity m, no box splits, so it is returned m times when
-    the closed box holds 0.
+    The exponent is the paper's, c > -1 (BadExponent otherwise), or a
+    nonpositive integer c = -m, where ``E_c(z) = z^m e^z`` has one zero, 0 of
+    multiplicity m, returned m times when the closed box holds 0.
     """
     box = tuple(float(v) for v in box)
     x0, x1, y0, y1 = box
     if c <= 0 and c == round(c):
         return [0j] * -int(c) if x0 <= 0.0 <= x1 and y0 <= 0.0 <= y1 else []
+    if not c > -1.0:
+        raise BadExponent(f"zeros of E_c need c > -1 or an integer c <= 0, got {c}")
     ev = _evaluator(c)
     total = _boundary_winding(ev, x0, x1, y0, y1)
     zeros = _ladder_zeros(ev, box, total, tol) if total else []
     if len(zeros) != total:
-        zeros = _descent_zeros(ev, box, total, tol)
+        raise ContourThroughZero(
+            f"certified {len(zeros)} of the {total} zeros the box {box} winds")
     zeros.sort(key=lambda z: (round(z.real, 9), z.imag))
     return zeros

@@ -16,7 +16,9 @@ and its cut test is checked against raw ray geometry.  What ``ddnum``
 writes out on Python floats is kept here composed, as its bit reference:
 add, mul and div from two-sums, quick-sums and Dekker's product, and the
 one-point Horner step and the banded Cholesky solve from ddnum's complex
-operations.
+operations.  The zeros of ``E_c`` in a box are found here by bisection on
+winding counts, the search ``specfun.zeros_E_c`` used before it solved the
+ladder equation, as the reference for the zeros that it finds.
 """
 
 import cmath
@@ -28,6 +30,7 @@ from scipy.special import binom, hyp2f1
 
 from mszego import ddnum as dd
 from mszego.core import Configuration, validate_config
+from mszego.specfun import ContourThroughZero, FcEvaluator, _boundary_winding, _newton
 from mszego.szego import solve_structure
 
 
@@ -415,3 +418,54 @@ def composed_cholesky_solve(A, rhs, band):
         x[i] = _div_parts(acc, diag[i])
     return (np.array([v[0] for v in x], dtype=complex),
             np.array([v[1] for v in x], dtype=complex))
+
+
+def descent_zeros(ev: FcEvaluator, box, count: int, tol: float) -> list[complex]:
+    """The ``count`` zeros in ``box``, isolated by bisection on winding counts.
+
+    A box that winds once is polished at once: Newton from its centre is
+    taken if it settles inside the box.  Otherwise the box is halved again;
+    one that still fails under 0.05 on a side raises ContourThroughZero, as
+    does a total that differs from ``count``.
+    """
+    zeros: list[complex] = []
+
+    def descend(bx0, bx1, by0, by1, count, depth):
+        if count == 0:
+            return
+        if count == 1:
+            z = _newton(ev, complex(0.5 * (bx0 + bx1), 0.5 * (by0 + by1)),
+                        (bx0, bx1, by0, by1), tol)
+            if z is not None:
+                zeros.append(z)
+                return
+            if max(bx1 - bx0, by1 - by0) < 0.05:
+                raise ContourThroughZero(
+                    f"Newton polish failed in the box {(bx0, bx1, by0, by1)}; "
+                    "jitter the box")
+        if depth > 60:
+            raise ContourThroughZero("subdivision failed to isolate a zero")
+        # split the longer side, jittering the cut off any zero
+        split_x = bx1 - bx0 >= by1 - by0
+        for frac in (0.5, 0.53, 0.47, 0.57):
+            if split_x:
+                xm = bx0 + frac * (bx1 - bx0)
+                halves = ((bx0, xm, by0, by1), (xm, bx1, by0, by1))
+            else:
+                ym = by0 + frac * (by1 - by0)
+                halves = ((bx0, bx1, by0, ym), (bx0, bx1, ym, by1))
+            try:
+                w1, w2 = (_boundary_winding(ev, *h) for h in halves)
+            except ContourThroughZero:
+                continue
+            if w1 + w2 == count:
+                descend(*halves[0], w1, depth + 1)
+                descend(*halves[1], w2, depth + 1)
+                return
+        raise ContourThroughZero("could not split the box cleanly; jitter it")
+
+    descend(*box, count, 0)
+    if len(zeros) != count:
+        raise ContourThroughZero(
+            f"found {len(zeros)} zeros but the box winding is {count}")
+    return zeros

@@ -10,13 +10,11 @@ n=16 to n=32; the closed form shows the true error falls like
 (a^2 e^(1-a^2))^n / sqrt(n), a ratio of 0.0395 there, so no accurate
 model could meet that edge.
 
-Criterion 8 (local zero alignment) is the one failure kept by design:
-the exact zeros sit at zeta(z_k) = 2 pi i k - log(z_k/a) up to
-exponentially small terms, so the measured offsets are |log(z_k/a)|
-(1.118 at n=32, 0.656 at n=64) because the leading-order zooming
-coordinate of ``zeta_map`` leaves out the O(1) term -log(z/a).  Whether
-the coordinate or the bounds should change is open; both stay as they
-are.  Everything else passes.
+Criterion 8 (local zero alignment): the leading-order zooming coordinate
+put the exact zeros at zeta(z_k) = 2 pi i k - log(z_k/a) up to
+exponentially small terms, offsets of |log(z_k/a)| (1.118 at n=32, 0.656
+at n=64).  ``zeta_map`` now carries the O(1) term c log(z/a), and the
+zeros match those of E_c within the unchanged bounds.
 """
 
 import cmath

@@ -335,6 +335,7 @@ def test_levels_manifest_beside_out(single_cfg_path, tmp_path):
     "fc-zeros --c 1 --box 1 -1 8 5 --out {out}",
     "fc --c 1e300 --out {out}",
     "fc-zeros --c 1e300 --box -0.5 1 5 8 --out {out}",
+    "fc-zeros --c -2.5 --box -10 10 -10 10 --out {out}",
     "fc --c 1000 --out {out}",
     "levels {c1000}",
     "asymp {c1000} --out {out}",

@@ -8,11 +8,11 @@ import pytest
 from scipy.special import gamma
 
 from mszego import specfun
-from mszego.core import MAX_EXPONENT
+from mszego.core import MAX_EXPONENT, BadExponent
 from mszego.specfun import (ContourThroughZero, E_c, FcEvaluator,
                             OnNegativeAxis, f_c, zeros_E_c)
 
-from support import alpha, f_contour
+from support import alpha, descent_zeros, f_contour
 
 # frozen independent values: contour-integral quadrature cross-checked
 # against a 40-digit arbitrary-precision incomplete-gamma evaluation
@@ -199,7 +199,7 @@ def test_far_entire_and_derivative_against_mpmath(c):
     for z in (0.0, 2j * math.pi, 20 + 5j):
         with mp.workdps(40):
             want = complex(mp.hyp1f1(2, c + 2, z) / mp.gamma(c + 2))
-        assert abs(ev.entire_deriv(z) - want) <= 1e-13 * abs(want), (c, z)
+        assert abs(ev.entire_with_deriv(z)[1] - want) <= 1e-13 * abs(want), (c, z)
 
 
 @pytest.mark.parametrize("c", [40.5, 80.5, MAX_EXPONENT])
@@ -321,15 +321,31 @@ def test_zeros_unit_exponent_box():
     assert abs(zs[0] - 2j * math.pi) < 1e-9
 
 
-def test_zeros_split_when_newton_leaves_the_box(monkeypatch):
-    # the real zero of E_{-1/2} lies on no ladder seed's path, and Newton
-    # from this box's centre leaves the box, so the one zero is found only
-    # after the box is split; the reference is mpmath's at 30 digits
+def test_real_zero_from_the_axis_takes_one_contour(monkeypatch):
+    # the real zero of E_{-1/2} lies on no ladder root's path, and Newton
+    # from this box's centre leaves the box; bisection on the real axis
+    # finds it with no box split; the reference is mpmath's at 30 digits
     calls = _count_windings(monkeypatch)
     zs = zeros_E_c(-0.5, (-3.0, 0.5, -0.5, 4.0))
     assert len(zs) == 1
     assert abs(zs[0] - -0.854032656598196990) < 1e-12
-    assert len(calls) > 1
+    assert len(calls) == 1
+
+
+def test_short_count_raises(monkeypatch):
+    # a polish that never settles certifies none of the three zeros the
+    # box winds, and no short list is returned
+    monkeypatch.setattr(specfun, "_newton", lambda *args: None)
+    with pytest.raises(ContourThroughZero, match="0 of the 3 zeros"):
+        zeros_E_c(1.0, (-2.0, 6.0, 0.5, 25.0))
+
+
+def test_zeros_refuse_exponents_at_or_below_minus_one():
+    # past the paper's c > -1 the ladder and the real axis miss zeros
+    # (5 zeros of E_{-2.5} in this box); the nonpositive integers keep
+    # their closed form
+    with pytest.raises(BadExponent):
+        zeros_E_c(-2.5, (-10.0, 10.0, -10.0, 10.0))
 
 
 def test_zeros_from_the_ladder_take_one_contour(monkeypatch):
@@ -358,7 +374,7 @@ def test_zeros_equal_the_descent(c, box):
     # the ladder changes how the zeros are found, not which: the box
     # descent on its own finds the same ones
     ev = specfun._evaluator(c)
-    want = specfun._descent_zeros(ev, box, specfun._boundary_winding(ev, *box), 1e-10)
+    want = descent_zeros(ev, box, specfun._boundary_winding(ev, *box), 1e-10)
     got = zeros_E_c(c, box)
     assert len(got) == len(want)
     for w in want:
@@ -444,12 +460,25 @@ def test_unit_exponent_zeros_are_exact():
         assert abs(z - 2j * math.pi * k) <= 1e-13
 
 
-@pytest.mark.parametrize("c", [-0.5, 0.5, 1.0, 1.3, 2.0, 2.5])
-def test_zeros_against_mpmath_newton_step(c):
+def _assert_mpmath_newton_steps(c, zs):
     mp = pytest.importorskip("mpmath")
-    zs = zeros_E_c(c, (-6.0, 20.0, -21.0, 21.0))
-    assert zs
     with mp.workdps(40):
         for z in zs:
             step = mp.hyp1f1(1, c + 1, z) * (c + 1) / mp.hyp1f1(2, c + 2, z)
             assert abs(step) <= 1e-12, (c, z)
+
+
+@pytest.mark.parametrize("c", [-0.95, -0.5, 0.5, 1.0, 1.3, 2.0, 2.5, 3.5, 12.0])
+def test_zeros_against_mpmath_newton_step(c):
+    # -0.95: the real zero alone; 3.5 and 12: zeros far off the one-step seeds
+    zs = zeros_E_c(c, (-6.0, 20.0, -21.0, 21.0))
+    assert zs
+    _assert_mpmath_newton_steps(c, zs)
+
+
+def test_zeros_far_off_the_ladder_seeds():
+    # at c = 20 the zeros sit far from the one-step seeds s_k, and the
+    # roots of the ladder equation find all ten
+    zs = zeros_E_c(20.0, (-10.0, 50.0, -50.0, 50.0))
+    assert len(zs) == 10
+    _assert_mpmath_newton_steps(20.0, zs)

@@ -79,11 +79,11 @@ NON_GENERIC = {"non_generic": {"a": [[0.3794, -0.2438], [0.3797, -0.2434]],
 LIFTED = {"lifted": {"a": [[0.41, -0.27], [-0.48, -0.08]], "c": [0.5, 1.5], "n": 32}}
 
 
-# (c, box) of every `fc-zeros` run; tests/test_specfun.py checks the ladder
-# against the descent on each valid box
+# (c, box) of every `fc-zeros` run; tests/test_specfun.py checks the zeros
+# against a bisection on winding counts on each valid box
 ZERO_RUNS = [("1", ("-2", "6", "0.5", "25"))]
-# 2.5: the ladder at c != 1; 10.5: four zeros off the ladder, found by the
-# descent
+# 2.5: the ladder at c != 1; 10.5: four zeros far off the one-step seeds,
+# found from the roots of the ladder equation; -0.5: the real zero
 ZERO_RUNS += [(c, ("-6", "20", "-21", "21")) for c in ("0.5", "-0.5", "1.3", "2.5", "10.5")]
 ZERO_RUNS += [("2", ("-10.5", "10.5", "-10.5", "10.5")), ("1", ("1", "-1", "5", "8"))]
 ZERO_RUNS += [("1", ("-0.2", "5", "6", "12")), ("1", ("-1", "1", "5", "34"))]
